@@ -6,10 +6,10 @@ import numpy as np
 
 from landseg import (
     SceneSpec, class_weights, ensemble_average, generate_scene,
-    extract_tiles, plan_tiles, split_samples, stitch_center,
+    extract_tiles, plan_tiles, predict_map, split_samples,
 )
 from landseg.evaluate import confusion_from, overall_accuracy
-from landseg.nn import TrainConfig, build_network, default_config, predict_tiles, train
+from landseg.nn import TrainConfig, build_network, default_config, train
 
 spec = SceneSpec(width=192, height=192, seed=15)
 stack, labels, _ = generate_scene(spec)
@@ -35,7 +35,7 @@ prob_maps = {}
 for arch, cfg in configs.items():
     net = build_network(arch, in_ch=7, n_classes=6, width=8, patch=64, seed=1)
     net, history = train(net, samples, cfg)
-    label_map, probs = stitch_center(predict_tiles(net, stack, plan), plan)
+    label_map, probs = predict_map(net, stack, plan)
     oa = overall_accuracy(confusion_from(labels, label_map, 6))
     prob_maps[arch] = probs
     first, last = history[0], history[-1]

@@ -71,5 +71,5 @@ from .evaluate import (
     render_table,
     report,
 )
-from .models import load_model, save_model
+from .models import load_model, predict_map, save_model
 from .synth import SceneSpec, generate_scene, scene_battery

@@ -10,7 +10,7 @@ over the trees that did not see the sample.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class RandomForest:
         )
 
 
-def _majority(votes: np.ndarray) -> np.ndarray:
-    return np.argmax(votes, axis=1)
-
-
 def _forest_oob_error(trees, oob_indices, x, y, n_classes) -> float | None:
     votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
     for tree, oob in zip(trees, oob_indices):
@@ -92,7 +88,7 @@ def _forest_oob_error(trees, oob_indices, x, y, n_classes) -> float | None:
     seen = votes.sum(axis=1) > 0
     if not seen.any():
         return None
-    return float(np.mean(_majority(votes[seen]) != y[seen]))
+    return float(np.mean(np.argmax(votes[seen], axis=1) != y[seen]))
 
 
 def rf_train(

@@ -9,7 +9,7 @@ for SMO conditioning; the transform is stored with the model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -116,14 +116,9 @@ class SvmClassifier:
         return (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean) / self.std
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """One-vs-one vote winner; ties go to the lowest class id."""
-        xs = self._standardize(x)
-        votes = np.zeros((xs.shape[0], self.n_classes), dtype=np.int64)
-        for pm in self.pairs:
-            g = pm.decision(xs, self.gamma)
-            votes[g >= 0, pm.class_pos] += 1
-            votes[g < 0, pm.class_neg] += 1
-        return np.argmax(votes, axis=1)
+        """One-vs-one vote winner; ties go to the lowest class id, as every
+        row casts the same number of votes."""
+        return np.argmax(self.predict_proba(x), axis=1)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Vote fractions (not calibrated probabilities)."""

@@ -9,7 +9,7 @@ positive gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class DecisionTree:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] < 0
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf-majority class per row; ties go to the lowest class id."""
+    def _leaves(self, x: np.ndarray) -> np.ndarray:
+        """Index of the leaf each row lands in."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(x.shape[0], dtype=np.int64)
         stack = [(0, np.arange(x.shape[0]))]
@@ -59,30 +59,21 @@ class DecisionTree:
             if idx.size == 0:
                 continue
             if self.is_leaf(node):
-                out[idx] = int(np.argmax(self.hist[node]))
+                out[idx] = node
                 continue
             go_left = x[idx, self.feature[node]] <= self.threshold[node]
             stack.append((self.left[node], idx[go_left]))
             stack.append((self.right[node], idx[~go_left]))
         return out
 
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Leaf-majority class per row; ties go to the lowest class id."""
+        return np.argmax(self.hist, axis=1)[self._leaves(x)]
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Normalized leaf histogram per row."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty((x.shape[0], self.n_classes), dtype=np.float64)
-        stack = [(0, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.is_leaf(node):
-                h = self.hist[node].astype(np.float64)
-                out[idx] = h / h.sum()
-                continue
-            go_left = x[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        h = self.hist[self._leaves(x)].astype(np.float64)
+        return h / h.sum(axis=1, keepdims=True)
 
     def to_json(self) -> dict:
         return {

@@ -19,13 +19,10 @@ import numpy as np
 from . import __version__
 from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import dump_report, render_table2, table2_experiment
-from .models import load_model, predict_pixels, save_model
+from .models import load_model, predict_map, save_model
 from .nn import (
-    TrainConfig,
     build_network,
     default_config,
-    load_network,
-    predict_tiles,
     save_history_csv,
     save_network,
     train,
@@ -263,34 +260,15 @@ def cmd_train_net(args):
     return 0
 
 
-def _is_pixel_model(path) -> bool:
-    p = Path(path)
-    if not p.exists() or p.is_dir():
-        return False
-    try:
-        head = p.read_text()[:200]
-    except UnicodeDecodeError:
-        return False
-    return '"landseg-model"' in head
-
-
 def cmd_predict(args):
     _require(args.stack, "stack raster")
     stack = read_raster(args.stack)
-    if _is_pixel_model(args.model):
-        model, _ = load_model(args.model)
-        label_map, probs = predict_pixels(model, stack)
-    else:
-        _require(args.model, "model")
-        if args.plan is None:
-            raise ValueError("network prediction needs --plan")
+    model = load_model(args.model)
+    plan = None
+    if args.plan is not None:
         _require(args.plan, "tile plan")
-        net = load_network(args.model)
-        doc = json.loads(Path(args.plan).read_text())
-        plan = TilePlan.from_json(doc["plan"])
-        from .tiling import stitch_center
-        label_map, probs = stitch_center(predict_tiles(net, stack, plan), plan)
-        label_map.labels[~stack.valid_mask] = 255
+        plan = TilePlan.from_json(json.loads(Path(args.plan).read_text())["plan"])
+    label_map, probs = predict_map(model, stack, plan)
     write_labels(label_map, str(args.out) + "_labels")
     write_raster(_prob_raster(probs, stack.valid_mask),
                  str(args.out) + "_probs")

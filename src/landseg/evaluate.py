@@ -49,12 +49,21 @@ class ConfusionMatrix:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _count(ref: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """K x K counts of aligned id arrays; nodata pairs skipped, ids checked."""
+    keep = (ref != NODATA_ID) & (pred != NODATA_ID)
+    ref, pred = ref[keep], pred[keep]
+    if ref.size and (min(ref.min(), pred.min()) < 0
+                     or max(ref.max(), pred.max()) >= k):
+        raise ValueError("class id outside the confusion matrix")
+    return np.bincount(ref * k + pred, minlength=k * k).reshape(k, k)
+
+
 def accumulate(cm: ConfusionMatrix, reference, predicted: LabelRaster) -> ConfusionMatrix:
     """Count (reference, predicted) pairs; nodata on either side is skipped.
 
     reference may be a LabelRaster of matching geometry or a GroundPointSet.
     """
-    k = cm.n_classes
     if isinstance(reference, GroundPointSet):
         ref = np.asarray([p[2] for p in reference.points], dtype=np.int64)
         rows = np.asarray([p[0] for p in reference.points], dtype=np.int64)
@@ -70,13 +79,7 @@ def accumulate(cm: ConfusionMatrix, reference, predicted: LabelRaster) -> Confus
             raise ValueError("reference/prediction geometry mismatch")
         ref = reference.labels.reshape(-1).astype(np.int64)
         pred = predicted.labels.reshape(-1).astype(np.int64)
-    keep = (ref != NODATA_ID) & (pred != NODATA_ID)
-    ref, pred = ref[keep], pred[keep]
-    if ref.size and (ref.max() >= k or pred.max() >= k):
-        raise ValueError("class id outside the confusion matrix")
-    add = np.zeros((k, k), dtype=np.int64)
-    np.add.at(add, (ref, pred), 1)
-    return ConfusionMatrix(counts=cm.counts + add)
+    return ConfusionMatrix(counts=cm.counts + _count(ref, pred, cm.n_classes))
 
 
 def confusion_from(reference, predicted: LabelRaster, n_classes: int) -> ConfusionMatrix:
@@ -89,10 +92,7 @@ def confusion_from_arrays(ref: np.ndarray, pred: np.ndarray, n_classes: int) -> 
     pred = np.asarray(pred, dtype=np.int64).reshape(-1)
     if ref.shape != pred.shape:
         raise ValueError("reference/prediction lengths differ")
-    keep = (ref != NODATA_ID) & (pred != NODATA_ID)
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (ref[keep], pred[keep]), 1)
-    return ConfusionMatrix(counts=counts)
+    return ConfusionMatrix(counts=_count(ref, pred, n_classes))
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:

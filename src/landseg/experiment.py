@@ -15,13 +15,17 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import cart_train, permutation_importance, rf_train, svm_train
-from .evaluate import class_metrics, confusion_from_arrays, ensemble_average, overall_accuracy
-from .nn import TrainConfig, build_network, default_config, predict_tiles, train
+from .evaluate import (
+    argmax_labels, class_metrics, confusion_from_arrays, ensemble_average,
+    overall_accuracy,
+)
+from .models import predict_map
+from .nn import TrainConfig, build_network, train
 from .preprocess import apply_cloud_mask
-from .raster import LabelRaster, STACK_BANDS
+from .raster import STACK_BANDS
 from .sampling import class_weights, stratified_sample
 from .synth import SceneSpec, generate_scene, scene_battery, _derived_seed
-from .tiling import extract_tiles, plan_tiles, split_samples, stitch_center
+from .tiling import extract_tiles, plan_tiles, split_samples
 
 FIVE_BAND = list(range(5))
 SEVEN_BAND = list(range(7))
@@ -240,12 +244,6 @@ def _train_scene_networks(stack, labels, legend, seed, patch=64,
     return out, plan
 
 
-def _stitched_probs(net, stack, plan):
-    preds = predict_tiles(net, stack, plan)
-    label_map, probs = stitch_center(preds, plan)
-    return label_map, probs
-
-
 def robustness_experiment(
     seed: int,
     n_pairs: int = 2,
@@ -320,14 +318,11 @@ def robustness_experiment(
             oa_tag = f"oa_{scene_tag}"
             probs = {}
             for arch, (net, _) in nets.items():
-                label_map, p = _stitched_probs(net, stack, plan)
+                label_map, p = predict_map(net, stack, plan)
                 entry[oa_tag][arch] = eval_positions(label_map)
                 probs[arch] = p
             merged = ensemble_average([probs[a] for a in NET_ARCHS])
-            merged_labels = np.argmax(merged, axis=0).astype(np.uint8)
-            entry[oa_tag]["merged"] = eval_positions(
-                LabelRaster(stack.width, stack.height, merged_labels)
-            )
+            entry[oa_tag]["merged"] = eval_positions(argmax_labels(merged))
             probs["merged"] = merged
             probs_by_scene[scene_tag] = probs
 

@@ -14,12 +14,10 @@ stored with the weights and applied in every forward pass.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from . import ops
+from ..raster import read_container, write_container
 
 ARCH_TAGS = ("segnet_mini", "unet_mini", "psp_mini")
 
@@ -348,24 +346,31 @@ def build_network(tag: str, in_ch: int = 7, n_classes: int = 6,
 
 def save_network(net, path_stem) -> None:
     """JSON manifest plus little-endian float64 blob in manifest order."""
-    names_shapes = [(name, list(p.shape)) for name, p in net.params()]
     manifest = {
         "format": WEIGHTS_FORMAT,
         "version": WEIGHTS_VERSION,
         **net.config(),
         "band_mean": net.band_mean.tolist(),
         "band_std": net.band_std.tolist(),
-        "layers": [{"name": n, "shape": s} for n, s in names_shapes],
+        "layers": [{"name": n, "shape": list(p.shape)} for n, p in net.params()],
     }
-    Path(str(path_stem) + ".json").write_text(json.dumps(manifest, indent=2) + "\n")
     blob = b"".join(p.astype("<f8").tobytes() for _, p in net.params())
-    Path(str(path_stem) + ".bin").write_bytes(blob)
+    write_container(path_stem, manifest, blob)
+
+
+def _weights_blob_size(manifest: dict) -> int:
+    if manifest.get("format") != WEIGHTS_FORMAT:
+        raise ValueError(f"not a {WEIGHTS_FORMAT} manifest")
+    if manifest.get("version") != WEIGHTS_VERSION:
+        raise ValueError(
+            f"unsupported weights version {manifest.get('version')!r} "
+            f"(expected {WEIGHTS_VERSION})"
+        )
+    return sum(int(np.prod(e["shape"])) * 8 for e in manifest["layers"])
 
 
 def load_network(path_stem):
-    manifest = json.loads(Path(str(path_stem) + ".json").read_text())
-    if manifest.get("format") != WEIGHTS_FORMAT:
-        raise ValueError(f"{path_stem} is not a {WEIGHTS_FORMAT} manifest")
+    manifest, raw = read_container(path_stem, _weights_blob_size)
     net = _ARCHES[manifest["arch"]](
         manifest["in_ch"], manifest["n_classes"],
         width=manifest["width"], patch=manifest["patch"],
@@ -373,12 +378,6 @@ def load_network(path_stem):
     net.set_band_norm(
         np.asarray(manifest["band_mean"]), np.asarray(manifest["band_std"])
     )
-    raw = Path(str(path_stem) + ".bin").read_bytes()
-    expected = sum(int(np.prod(e["shape"])) * 8 for e in manifest["layers"])
-    if len(raw) != expected:
-        raise ValueError(
-            f"weights blob is {len(raw)} bytes, manifest implies {expected}"
-        )
     at = 0
     for entry, (name, p) in zip(manifest["layers"], net.params()):
         if entry["name"] != name or list(p.shape) != entry["shape"]:

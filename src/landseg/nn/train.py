@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +123,12 @@ def _eval_loss(net, tiles, weights, batch_size):
     return float(np.average(losses, weights=weights_sum))
 
 
+def _require_finite(loss, split, epoch):
+    if not np.isfinite(loss):
+        raise ValueError(f"{split} loss is {loss} at epoch {epoch}; "
+                         "training diverged, no weights kept")
+
+
 def train(net, samples, config: TrainConfig):
     """Train on the sample set's train split; track val loss per epoch.
 
@@ -132,7 +137,8 @@ def train(net, samples, config: TrainConfig):
     a fresh spectral_jitter drawn from a stream derived from config.seed,
     so the nets cannot lean on the train scene's absolute spectral levels.
     Validation tiles and inference are never jittered. The returned network
-    carries the parameters of the best-validation-loss epoch. Returns
+    carries the parameters of the best-validation-loss epoch. A non-finite
+    train or validation loss raises ValueError naming the epoch. Returns
     (net, history) with history rows (epoch, train_loss, val_loss).
     """
     train_tiles = list(samples.subset("train"))
@@ -177,6 +183,7 @@ def train(net, samples, config: TrainConfig):
             net.zero_grads()
             logits = net.forward(x)
             loss, dlogits = ops.weighted_ce_loss(logits, y, weights, valid)
+            _require_finite(loss, "train", epoch)
             net.backward(dlogits)
             opt.step(net.param_arrays(), net.grads())
             batch_losses.append(loss)
@@ -184,6 +191,7 @@ def train(net, samples, config: TrainConfig):
         train_loss = float(np.average(batch_losses, weights=batch_sizes))
         if val_tiles:
             val_loss = _eval_loss(net, val_tiles, weights, config.batch_size)
+            _require_finite(val_loss, "validation", epoch)
         else:
             val_loss = train_loss
         history.append((epoch, train_loss, val_loss))

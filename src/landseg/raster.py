@@ -214,12 +214,37 @@ class GroundPointSet:
         return cls(points=points)
 
 
-def _sidecar_path(path_stem) -> Path:
-    return Path(str(path_stem) + ".json")
+def write_container(path_stem, header: dict, body: bytes) -> None:
+    """Write <stem>.json (header at indent=2) and <stem>.bin (raw body)."""
+    Path(str(path_stem) + ".json").write_text(json.dumps(header, indent=2) + "\n")
+    Path(str(path_stem) + ".bin").write_bytes(body)
 
 
-def _body_path(path_stem) -> Path:
-    return Path(str(path_stem) + ".bin")
+def read_container(path_stem, body_size) -> tuple:
+    """Inverse of write_container: (header, body bytes). body_size(header)
+    checks the header and returns the body length it implies."""
+    header = json.loads(Path(str(path_stem) + ".json").read_text())
+    expected = body_size(header)
+    body = Path(str(path_stem) + ".bin").read_bytes()
+    if len(body) != expected:
+        raise ValueError(
+            f"{path_stem}.bin: blob size {len(body)} does not match "
+            f"header-implied {expected}"
+        )
+    return header, body
+
+
+def _raster_body_size(sidecar: dict) -> int:
+    if sidecar.get("dtype") != "f32":
+        raise ValueError(f"expected dtype f32, got {sidecar.get('dtype')}")
+    n_pix = sidecar["width"] * sidecar["height"]
+    return len(sidecar["bands"]) * n_pix * 4 + n_pix
+
+
+def _labels_body_size(sidecar: dict) -> int:
+    if sidecar.get("dtype") != "u8":
+        raise ValueError(f"expected dtype u8, got {sidecar.get('dtype')}")
+    return sidecar["width"] * sidecar["height"]
 
 
 def write_raster(r: Raster, path_stem) -> None:
@@ -233,30 +258,19 @@ def write_raster(r: Raster, path_stem) -> None:
     }
     if r.origin:
         sidecar["origin"] = r.origin
-    _sidecar_path(path_stem).write_text(json.dumps(sidecar, indent=2) + "\n")
     body = r.data.astype("<f4", copy=False).tobytes()
     body += r.valid_mask.astype(np.uint8).tobytes()
-    _body_path(path_stem).write_bytes(body)
+    write_container(path_stem, sidecar, body)
 
 
 def read_raster(path_stem) -> Raster:
     """Inverse of write_raster; rejects truncated or oversized bodies."""
-    sidecar = json.loads(_sidecar_path(path_stem).read_text())
-    if sidecar.get("dtype") != "f32":
-        raise ValueError(f"expected dtype f32, got {sidecar.get('dtype')}")
+    sidecar, raw = read_container(path_stem, _raster_body_size)
     width, height = sidecar["width"], sidecar["height"]
     bands = list(sidecar["bands"])
-    n_pix = width * height
-    expected = len(bands) * n_pix * 4 + n_pix
-    raw = _body_path(path_stem).read_bytes()
-    if len(raw) != expected:
-        raise ValueError(
-            f"body size {len(raw)} does not match sidecar-implied {expected}"
-        )
-    data = np.frombuffer(raw[: len(bands) * n_pix * 4], dtype="<f4")
-    data = data.reshape(len(bands), height, width)
-    mask = np.frombuffer(raw[len(bands) * n_pix * 4:], dtype=np.uint8)
-    mask = mask.reshape(height, width) != 0
+    n_data = len(bands) * width * height * 4
+    data = np.frombuffer(raw[:n_data], dtype="<f4").reshape(len(bands), height, width)
+    mask = np.frombuffer(raw[n_data:], dtype=np.uint8).reshape(height, width) != 0
     return Raster(
         width, height, bands, data.copy(), mask,
         origin=sidecar.get("origin", {}),
@@ -271,21 +285,13 @@ def write_labels(l: LabelRaster, path_stem) -> None:
         "dtype": "u8",
         "byte_order": "little",
     }
-    _sidecar_path(path_stem).write_text(json.dumps(sidecar, indent=2) + "\n")
-    _body_path(path_stem).write_bytes(l.labels.tobytes())
+    write_container(path_stem, sidecar, l.labels.tobytes())
 
 
 def read_labels(path_stem, legend: ClassLegend | None = None) -> LabelRaster:
     """Inverse of write_labels; with a legend, rejects out-of-legend ids."""
-    sidecar = json.loads(_sidecar_path(path_stem).read_text())
-    if sidecar.get("dtype") != "u8":
-        raise ValueError(f"expected dtype u8, got {sidecar.get('dtype')}")
+    sidecar, raw = read_container(path_stem, _labels_body_size)
     width, height = sidecar["width"], sidecar["height"]
-    raw = _body_path(path_stem).read_bytes()
-    if len(raw) != width * height:
-        raise ValueError(
-            f"body size {len(raw)} does not match sidecar-implied {width * height}"
-        )
     labels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
     if legend is not None:
         bad = labels[(labels != NODATA_ID) & (labels >= legend.n_classes)]

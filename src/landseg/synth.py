@@ -10,7 +10,7 @@ keeps regions contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import json
 from pathlib import Path
 

@@ -10,7 +10,7 @@ border and midpoint ties go to the later (larger-anchor) tile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

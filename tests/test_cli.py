@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from landseg import GroundPointSet, read_labels, read_raster
+from landseg import GroundPointSet, read_labels, read_raster, write_raster
 from landseg.cli import main
+from landseg.nn import build_network, save_network
 from landseg.synth import SceneSpec
 
 
@@ -180,6 +181,43 @@ def test_net_predict_without_plan(scene_dir, tmp_path):
                "--stack", str(scene_dir / "stack"),
                "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_predict_rejects_other_weights_version(scene_dir, tmp_path):
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    net = build_network("psp_mini", in_ch=7, n_classes=6, width=4, patch=64)
+    save_network(net, tmp_path / "net")
+    args = ["predict", "--model", str(tmp_path / "net"),
+            "--stack", str(scene_dir / "stack"),
+            "--plan", str(tmp_path / "plan.json"),
+            "--out", str(tmp_path / "pred")]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "net.json").read_text())
+    manifest["version"] = 99
+    (tmp_path / "net.json").write_text(json.dumps(manifest))
+    assert main(args) == 2
+
+
+def test_train_net_fails_on_nan_input(scene_dir, tmp_path, capsys):
+    stack = read_raster(scene_dir / "stack")
+    stack.data[0, 70, :] = np.nan   # inside every tile that covers row 70
+    write_raster(stack, tmp_path / "stack")
+    assert main(["tile", "--stack", str(tmp_path / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--stride", "32", "--out", str(tmp_path / "plan.json")]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 1, "width": 4}))
+    rc = main(["train-net", "--arch", "psp_mini",
+               "--stack", str(tmp_path / "stack"),
+               "--labels", str(scene_dir / "labels"),
+               "--plan", str(tmp_path / "plan.json"),
+               "--config", str(tmp_path / "cfg.json"),
+               "--out", str(tmp_path / "net")])
+    assert rc == 2
+    assert "epoch 0" in capsys.readouterr().err
+    assert not (tmp_path / "net.json").exists()
+    assert not (tmp_path / "net.bin").exists()
 
 
 def test_experiment_determinism(tmp_path):

@@ -16,6 +16,7 @@ from landseg import (
     render_table,
     report,
 )
+from landseg.evaluate import confusion_from_arrays
 
 
 def labels_of(arr):
@@ -85,6 +86,30 @@ def test_accumulate_mergeable(rng):
     top = confusion_from(labels_of(a[:3]), labels_of(b[:3]), 3)
     bottom = confusion_from(labels_of(a[3:]), labels_of(b[3:]), 3)
     assert np.array_equal(top.merge(bottom).counts, full.counts)
+
+
+def test_confusion_from_arrays_counts_and_skips_nodata():
+    cm = confusion_from_arrays([0, 1, 1, 255, 2], [0, 1, 2, 1, 255], 3)
+    assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 0]]
+    assert cm.counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("ref,pred", [
+    ([0, 3], [0, 1]),      # reference id == K
+    ([0, 1], [0, 7]),      # predicted id > K
+    ([0, -1], [0, 1]),     # negative reference id
+    ([0, 1], [-2, 1]),     # negative predicted id
+])
+def test_confusion_from_arrays_rejects_ids_outside(ref, pred):
+    with pytest.raises(ValueError, match="outside"):
+        confusion_from_arrays(ref, pred, 3)
+
+
+def test_accumulate_rejects_negative_point_class():
+    pred = labels_of(np.array([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="outside"):
+        accumulate(ConfusionMatrix.empty(2),
+                   GroundPointSet(points=[(0, 0, -1)]), pred)
 
 
 # ----------------------------------------------------------------- metrics

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,16 @@ def test_weights_blob_validated(tmp_path):
         load_network(tmp_path / "w")
 
 
+def test_weights_version_validated(tmp_path):
+    net = build_network("segnet_mini", in_ch=2, n_classes=2, width=4, seed=0)
+    save_network(net, tmp_path / "w")
+    manifest = json.loads((tmp_path / "w.json").read_text())
+    manifest["version"] = 2
+    (tmp_path / "w.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="version 2"):
+        load_network(tmp_path / "w")
+
+
 # ---------------------------------------------------------------- training
 
 def tiny_samples(rng, n_classes=3, size=96, patch=32, bands=("a", "b", "c", "d")):
@@ -260,6 +272,18 @@ def test_train_smoke_and_history(rng):
     assert len(history) == 3
     for _, tr, vl in history:
         assert np.isfinite(tr) and np.isfinite(vl)
+
+
+@pytest.mark.parametrize("split,name", [("train", "train"),
+                                        ("val", "validation")])
+def test_train_rejects_non_finite_loss(rng, split, name):
+    samples = tiny_samples(rng)
+    tile = next(iter(samples.subset(split)))
+    tile.x[0, 5, 7] = np.nan
+    net = build_network("psp_mini", in_ch=4, n_classes=3, width=4, patch=32, seed=0)
+    cfg = TrainConfig(optimizer="adam", lr=1e-3, epochs=2, seed=1)
+    with pytest.raises(ValueError, match=f"{name} loss is nan at epoch 0"):
+        train(net, samples, cfg)
 
 
 def test_train_loss_finite_at_init(rng):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from landseg import cart_train, gini, permutation_importance, rf_train
+from landseg import (
+    RandomForest, SvmClassifier, cart_train, gini, permutation_importance,
+    rf_train, svm_train,
+)
+from landseg.classical.svm import PairModel
 from landseg.classical.tree import DecisionTree
 
 
@@ -235,3 +239,71 @@ def test_importance_feature_mismatch(rng):
     forest = rf_train(x, y, n_trees=5, seed=11)
     with pytest.raises(ValueError, match="features"):
         permutation_importance(forest, rng.random((50, 3)), y)
+
+
+# ------------------------------------------- predict == argmax(predict_proba)
+
+def _tree(feature, threshold, left, right, hist):
+    return DecisionTree(
+        feature=np.asarray(feature), threshold=np.asarray(threshold, float),
+        left=np.asarray(left), right=np.asarray(right),
+        hist=np.asarray(hist), n_classes=3,
+    )
+
+
+def _split_tree():
+    # x <= 0.5 lands in a class-0 leaf; x > 0.5 in a leaf tied 2:2 between
+    # classes 1 and 2
+    return _tree([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1],
+                 [[3, 3, 2], [3, 1, 0], [0, 2, 2]])
+
+
+def _hand_forest():
+    # one split tree and one single-leaf tree voting class 2: both rows
+    # get one vote for each of two classes
+    return RandomForest(
+        trees=[_split_tree(), _tree([-1], [0], [-1], [-1], [[0, 0, 4]])],
+        oob_indices=[np.zeros(0, np.int64)] * 2, n_classes=3,
+        n_features=1, n_rows=0, seed=0, mtry=1, min_leaf=1,
+    )
+
+
+def _hand_svm():
+    # constant decisions: 0-vs-1 votes 1, 0-vs-2 votes 0, 1-vs-2 votes 2,
+    # a three-way tie on every row
+    def pair(pos, neg, bias):
+        return PairModel(class_pos=pos, class_neg=neg, sv=np.zeros((1, 1)),
+                         coef=np.zeros(1), bias=bias, kkt_violation=0.0)
+    return SvmClassifier(
+        pairs=[pair(0, 1, -1.0), pair(0, 2, 1.0), pair(1, 2, -1.0)],
+        mean=np.zeros(1), std=np.ones(1), n_classes=3,
+    )
+
+
+def _trained(kind, rng):
+    x, y = blobs(rng, n_per_class=30, centers=((0, 0), (3, 3), (0, 3)),
+                 spread=1.5)
+    if kind == "tree":
+        return cart_train(x, y, min_leaf=2)
+    if kind == "forest":
+        return rf_train(x, y, n_trees=7, min_leaf=2, seed=1)
+    return svm_train(x, y)
+
+
+@pytest.mark.parametrize("kind,hand,tied_labels", [
+    ("tree", _split_tree, [0, 1]),
+    ("forest", _hand_forest, [0, 1]),
+    ("svm", _hand_svm, [0, 0]),
+])
+def test_predict_is_argmax_of_predict_proba(kind, hand, tied_labels, rng):
+    model = hand()
+    x = np.array([[0.0], [1.0]])
+    probs = model.predict_proba(x)
+    assert np.array_equal(model.predict(x), tied_labels)
+    assert np.array_equal(model.predict(x), np.argmax(probs, axis=1))
+    assert np.allclose(probs.sum(axis=1), 1.0)
+
+    model = _trained(kind, rng)
+    x = rng.normal(1.5, 2.5, size=(300, 2))
+    assert np.array_equal(model.predict(x),
+                          np.argmax(model.predict_proba(x), axis=1))

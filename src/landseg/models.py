@@ -53,6 +53,9 @@ def load_model(path):
     if not doc_path.is_file():
         doc_path = Path(str(path) + ".json")
     doc = json.loads(doc_path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{doc_path}: expected a JSON object, "
+                         f"got {type(doc).__name__}")
     if doc.get("format") == WEIGHTS_FORMAT:
         return load_network(str(doc_path).removesuffix(".json"))
     if doc.get("format") != FORMAT:

@@ -366,6 +366,8 @@ def _weights_blob_size(manifest: dict) -> int:
             f"unsupported weights version {manifest.get('version')!r} "
             f"(expected {WEIGHTS_VERSION})"
         )
+    if "layers" not in manifest:
+        raise ValueError("weights manifest has no 'layers' field")
     return sum(int(np.prod(e["shape"])) * 8 for e in manifest["layers"])
 
 

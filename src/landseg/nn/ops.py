@@ -8,7 +8,6 @@ convolutions reflect-pad so output dims equal input dims.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..raster import NODATA_ID
 
@@ -43,6 +42,18 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int = 
 
     x: (N, C, H, W); w: (O, C, k, k); b: (O,). Output spatial dims equal
     the input's for any dilation >= 1.
+
+    A 3x3 kernel is one matrix product over channel-major im2col columns
+    (Chellapilla, Puri & Simard 2006): ``cols`` is laid out
+    (C, k, k, N, H, W), viewed as (C*k*k, N*H*W), and filled from the k*k
+    shifted slices of the reflect-padded input. The product is taken as
+    ``cols.T @ w.T``: these operand orientations make BLAS sum in the same
+    order as a row-major im2col does, and the output keeps its
+    (N, H, W, O) memory order, which later layers' sums depend on.
+
+    The cache is ``("3x3", cols, w, (N, C, H, W), dilation)`` for 3x3 and
+    ``("1x1", x, w)`` for 1x1 kernels. ``bench/tracer.py`` reads the
+    weight from ``cache[2]``, so that slot must stay the weight.
     """
     n, c, h, wd = x.shape
     o, ci, k, k2 = w.shape
@@ -59,19 +70,28 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int = 
     if h <= pad or wd <= pad:
         raise ValueError("input too small for reflect padding")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
-    keff = k + (k - 1) * (dilation - 1)
-    win = sliding_window_view(xp, (keff, keff), axis=(2, 3))
-    win = win[:, :, :, :, ::dilation, ::dilation]       # (N,C,H,W,k,k)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n * h * wd, c * k * k)
+    xp = xp.transpose(1, 0, 2, 3)                         # (C,N,Hp,Wp) view
+    cols = np.empty((c, k, k, n, h, wd))
+    for u in range(k):
+        for v in range(k):
+            cols[:, u, v] = xp[:, :, u * dilation:u * dilation + h,
+                               v * dilation:v * dilation + wd]
+    cols = cols.reshape(c * k * k, n * h * wd)
     wmat = w.reshape(o, c * k * k)
-    y = (cols @ wmat.T).reshape(n, h, wd, o).transpose(0, 3, 1, 2)
+    y = (cols.T @ wmat.T).reshape(n, h, wd, o).transpose(0, 3, 1, 2)
     y = y + b[None, :, None, None]
     return y, ("3x3", cols, w, (n, c, h, wd), dilation)
 
 
 def conv2d_backward(dy: np.ndarray, cache):
-    """Gradients (dx, dw, db) of conv2d_forward."""
+    """Gradients (dx, dw, db) of conv2d_forward, from its cache.
+
+    For 3x3 kernels dw = dY.T @ cols.T and dcols = w.T @ dY, with dY the
+    (N*H*W, O) gradient matrix, made contiguous so that BLAS takes the
+    same kernel whatever the memory order of dy. The k*k column slices are
+    scatter-added in (C, N, Hp, Wp) order, then folded back over the
+    reflect padding into a contiguous (N, C, H, W) dx.
+    """
     if cache[0] == "1x1":
         _, x, w = cache
         db = dy.sum(axis=(0, 2, 3))
@@ -84,16 +104,16 @@ def conv2d_backward(dy: np.ndarray, cache):
     k = w.shape[2]
     pad = dilation
     wmat = w.reshape(o, c * k * k)
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(n * h * wd, o)
+    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, o)
     db = dy.sum(axis=(0, 2, 3))
-    dw = (dy_mat.T @ cols).reshape(w.shape)
-    dcols = (dy_mat @ wmat).reshape(n, h, wd, c, k, k)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    dw = (dy_mat.T @ cols.T).reshape(w.shape)
+    dcols = (wmat.T @ dy_mat.T).reshape(c, k, k, n, h, wd)
+    dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))
     for u in range(k):
         for v in range(k):
-            dxp[:, :, u * dilation:u * dilation + h, v * dilation:v * dilation + wd] += \
-                dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    dx = _reflect_fold_axis(dxp, pad, axis=2)
+            dxp[:, :, u * dilation:u * dilation + h,
+                v * dilation:v * dilation + wd] += dcols[:, u, v]
+    dx = _reflect_fold_axis(dxp.transpose(1, 0, 2, 3), pad, axis=2)
     dx = _reflect_fold_axis(dx, pad, axis=3)
     return dx, dw, db
 

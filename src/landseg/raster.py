@@ -224,6 +224,9 @@ def read_container(path_stem, body_size) -> tuple:
     """Inverse of write_container: (header, body bytes). body_size(header)
     checks the header and returns the body length it implies."""
     header = json.loads(Path(str(path_stem) + ".json").read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path_stem}.json: expected a JSON object, "
+                         f"got {type(header).__name__}")
     expected = body_size(header)
     body = Path(str(path_stem) + ".bin").read_bytes()
     if len(body) != expected:

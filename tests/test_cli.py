@@ -200,6 +200,45 @@ def test_predict_rejects_other_weights_version(scene_dir, tmp_path):
     assert main(args) == 2
 
 
+def test_predict_rejects_non_object_model(scene_dir, tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1]")
+    rc = main(["predict", "--model", str(tmp_path / "list.json"),
+               "--stack", str(scene_dir / "stack"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "list.json" in err and "JSON object" in err
+
+
+def test_evaluate_rejects_non_object_sidecar(scene_dir, tmp_path, capsys):
+    (tmp_path / "pred.json").write_text("[1]")
+    (tmp_path / "pred.bin").write_bytes((scene_dir / "labels.bin").read_bytes())
+    rc = main(["evaluate", "--pred", str(tmp_path / "pred"),
+               "--truth", str(scene_dir / "labels"),
+               "--legend", str(scene_dir / "legend.json"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pred.json" in err and "JSON object" in err
+
+
+def test_predict_names_missing_layers_field(scene_dir, tmp_path, capsys):
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    save_network(build_network("psp_mini", in_ch=7, n_classes=6, width=4,
+                               patch=64), tmp_path / "net")
+    manifest = json.loads((tmp_path / "net.json").read_text())
+    del manifest["layers"]
+    (tmp_path / "net.json").write_text(json.dumps(manifest))
+    rc = main(["predict", "--model", str(tmp_path / "net"),
+               "--stack", str(scene_dir / "stack"),
+               "--plan", str(tmp_path / "plan.json"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 2
+    assert "'layers' field" in capsys.readouterr().err
+
+
 def test_train_net_fails_on_nan_input(scene_dir, tmp_path, capsys):
     stack = read_raster(scene_dir / "stack")
     stack.data[0, 70, :] = np.nan   # inside every tile that covers row 70

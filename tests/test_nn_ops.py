@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landseg.nn import ops
 from landseg.nn.networks import PyramidPool
@@ -95,6 +97,91 @@ def test_conv_channel_mismatch(rng):
     w = rng.standard_normal((1, 3, 3, 3))
     with pytest.raises(ValueError, match="channels"):
         ops.conv2d_forward(x, w, np.zeros(1))
+
+
+def conv_reference(x, w, b, dilation):
+    """3x3 conv as a direct sum of shifted slices of the padded input."""
+    n, c, h, wd = x.shape
+    d = dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (d, d), (d, d)), mode="reflect")
+    y = np.broadcast_to(b[None, :, None, None], (n, w.shape[0], h, wd)).copy()
+    for u in range(3):
+        for v in range(3):
+            win = xp[:, :, u * d:u * d + h, v * d:v * d + wd]
+            y += np.einsum("oc,nchw->nohw", w[:, :, u, v], win)
+    return y
+
+
+def conv_reference_grads(x, w, dy, dilation):
+    """(dx, dw, db) of conv_reference, with the reflect padding undone by
+    scattering through the padded-to-source index map."""
+    n, c, h, wd = x.shape
+    d = dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (d, d), (d, d)), mode="reflect")
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for u in range(3):
+        for v in range(3):
+            rows, cols = slice(u * d, u * d + h), slice(v * d, v * d + wd)
+            dw[:, :, u, v] = np.einsum("nohw,nchw->oc", dy, xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("oc,nohw->nchw", w[:, :, u, v], dy)
+    src_r = np.pad(np.arange(h), d, mode="reflect")
+    src_c = np.pad(np.arange(wd), d, mode="reflect")
+    dx = np.zeros_like(x)
+    np.add.at(dx, (slice(None), slice(None), src_r[:, None], src_c[None, :]), dxp)
+    return dx, dw, dy.sum(axis=(0, 2, 3))
+
+
+def assert_close(a, ref, rtol=1e-12):
+    np.testing.assert_allclose(a, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+# (N, C, O, H, W, dilation) of every 3x3 layer the net_map benchmark trains:
+# segnet_mini, unet_mini and psp_mini at width 8 on 32 px tiles, batch 4.
+NET_MAP_LAYERS = [
+    (4, 7, 8, 32, 32, 1), (4, 8, 16, 16, 16, 1), (4, 16, 8, 16, 16, 1),
+    (4, 8, 8, 32, 32, 1), (4, 16, 32, 8, 8, 1), (4, 48, 16, 16, 16, 1),
+    (4, 24, 8, 32, 32, 1), (4, 8, 8, 32, 32, 2),
+]
+
+
+@pytest.mark.parametrize("shape", NET_MAP_LAYERS + [(3, 2, 5, 6, 9, 1),
+                                                    (2, 3, 4, 7, 5, 2)])
+def test_conv3x3_matches_shifted_slice_reference(rng, shape):
+    n, c, o, h, wd, dilation = shape
+    x = rng.standard_normal((n, c, h, wd))
+    w = rng.standard_normal((o, c, 3, 3))
+    b = rng.standard_normal(o)
+    dy = rng.standard_normal((n, o, h, wd))
+    y, cache = ops.conv2d_forward(x, w, b, dilation=dilation)
+    assert_close(y, conv_reference(x, w, b, dilation))
+    for got, ref in zip(ops.conv2d_backward(dy, cache),
+                        conv_reference_grads(x, w, dy, dilation)):
+        assert got.shape == ref.shape
+        assert_close(got, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 3),
+       dilation=st.integers(1, 2), h_extra=st.integers(1, 4),
+       w_extra=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv3x3_backward_matches_finite_differences(n, c, o, dilation,
+                                                     h_extra, w_extra, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, dilation + h_extra, dilation + w_extra))
+    w = rng.standard_normal((o, c, 3, 3)) * 0.5
+    b = rng.standard_normal(o) * 0.1
+    cache = {}
+
+    def forward():
+        y, cache["c"] = ops.conv2d_forward(x, w, b, dilation=dilation)
+        return y
+
+    def backward(proj):
+        forward()
+        return list(ops.conv2d_backward(proj, cache["c"]))
+
+    check_with_projection(forward, backward, [x, w, b], rng)
 
 
 # -------------------------------------------------------------------- relu

@@ -8,10 +8,11 @@ Each stage appends one JSON line to run_manifest.jsonl beside its outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import dump_report, render_table2, table2_experiment
 from .models import load_model, predict_map, save_model
 from .nn import (
+    TrainConfig,
     build_network,
     default_config,
     save_history_csv,
@@ -66,6 +68,20 @@ def _require(path, what):
     candidates = [Path(str(path)), Path(str(path) + ".json")]
     if not any(c.exists() for c in candidates):
         raise FileNotFoundError(f"{what} not found: {path}")
+
+
+def _read_settings(path, what, accepted) -> dict:
+    """A JSON object of settings whose keys all lie in `accepted`."""
+    _require(path, what)
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path}: expected a JSON object, "
+                         f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(accepted))
+    if unknown:
+        raise ValueError(f"{what} {path}: unknown key {unknown[0]!r} "
+                         f"(accepted: {', '.join(sorted(accepted))})")
+    return doc
 
 
 def _load_legend(path) -> ClassLegend:
@@ -179,22 +195,19 @@ def cmd_train_pixel(args):
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
+    trainer = {"cart": cart_train, "rf": rf_train, "svm": svm_train}[args.algo]
     params = dict(TABLE3_DEFAULTS[args.algo])
     if args.params:
-        _require(args.params, "params file")
-        params.update(json.loads(Path(args.params).read_text()))
+        # the stage sets these itself, and JSON cannot hold a Generator
+        accepted = set(inspect.signature(trainer).parameters) - {
+            "x", "y", "n_classes", "seed", "threads", "rng"}
+        params.update(_read_settings(args.params, "params file", accepted))
 
     table = stratified_sample(stack, labels, legend,
                               n_per_class=args.samples, seed=args.seed)
-    if args.algo == "cart":
-        model = cart_train(table.x, table.y, n_classes=legend.n_classes,
-                           **params)
-    elif args.algo == "rf":
-        model = rf_train(table.x, table.y, n_classes=legend.n_classes,
-                         seed=args.seed, threads=args.threads, **params)
-    else:
-        model = svm_train(table.x, table.y, n_classes=legend.n_classes,
-                          **params)
+    if args.algo == "rf":
+        params.update(seed=args.seed, threads=args.threads)
+    model = trainer(table.x, table.y, n_classes=legend.n_classes, **params)
     save_model(model, args.out, band_names=stack.bands)
     _append_manifest(
         args.out, "train-pixel",
@@ -216,13 +229,21 @@ def cmd_train_net(args):
     plan = TilePlan.from_json(doc["plan"])
 
     overrides = {}
-    width = args.width
     if args.config:
-        _require(args.config, "train config")
-        overrides = json.loads(Path(args.config).read_text())
-        width = overrides.pop("width", width)
+        accepted = ({f.name for f in fields(TrainConfig)}
+                    | {"width", "class_weighting"})
+        overrides = _read_settings(args.config, "train config", accepted)
+    width = overrides.pop("width", 16)
     use_class_weights = overrides.pop("class_weighting", True)
-    cfg = default_config(args.arch, **overrides)
+    try:
+        cfg = default_config(args.arch, **overrides)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"train config {args.config}: {exc}") from None
+    if cfg.class_weights is not None and (
+            np.shape(cfg.class_weights) != (legend.n_classes,)):
+        raise ValueError(
+            f"train config {args.config}: 'class_weights' needs one entry "
+            f"per class ({legend.n_classes}), got {cfg.class_weights!r}")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if use_class_weights and cfg.class_weights is None:
@@ -403,8 +424,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--legend", default=None)
     p.add_argument("--plan", required=True, help="tile stage output")
-    p.add_argument("--config", default=None, help="TrainConfig JSON overrides")
-    p.add_argument("--width", type=int, default=16)
+    p.add_argument("--config", default=None,
+                   help="JSON object of TrainConfig fields, width (default "
+                        "16) and class_weighting (default true)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="weights path stem")
     p.set_defaults(func=cmd_train_net)

@@ -7,8 +7,8 @@ decoder stages, 1x1 classifier.
 psp_mini: two full-resolution convs (the second dilated by 2), a {1,2,4}-bin
 pyramid pooling block, 1x1 classifier.
 
-Weights initialize He-style (std = sqrt(2/fan_in)) from the run seed. An
-optional per-band input normalization (computed from the train split) is
+Weights initialize He-style (std = sqrt(2/fan_in)) from the run seed. A
+per-band input normalization (fitted on the train split by train()) is
 stored with the weights and applied in every forward pass.
 """
 
@@ -42,10 +42,7 @@ class Conv2d:
 
     def init_weights(self, rng: np.random.Generator):
         fan_in = self.in_ch * self.ksize * self.ksize
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=self.w.shape)
-        self.b = np.zeros(self.out_ch)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self.w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=self.w.shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, self._cache = ops.conv2d_forward(x, self.w, self.b, dilation=self.dilation)
@@ -57,22 +54,38 @@ class Conv2d:
         self.db += db
         return dx
 
+
+class _ConvParams:
+    """Parameter plumbing over a flat list of convs, self.convs, whose
+    order is the weights-manifest order (each conv's w, then its b)."""
+
+    convs: list
+
+    def init_weights(self, rng: np.random.Generator):
+        for conv in self.convs:
+            conv.init_weights(rng)
+
     def params(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
+        return [(f"{c.name}.{k}", p) for c in self.convs
+                for k, p in (("w", c.w), ("b", c.b))]
+
+    def param_arrays(self):
+        return [p for _, p in self.params()]
 
     def grads(self):
-        return [self.dw, self.db]
+        return [g for c in self.convs for g in (c.dw, c.db)]
 
     def zero_grads(self):
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        for c in self.convs:
+            c.dw = np.zeros_like(c.w)
+            c.db = np.zeros_like(c.b)
 
     @property
     def n_params(self) -> int:
-        return self.w.size + self.b.size
+        return sum(c.w.size + c.b.size for c in self.convs)
 
 
-class PyramidPool:
+class PyramidPool(_ConvParams):
     """Multi-bin global-context block: per bin, average-pool to b x b,
     1x1-conv to a reduced width, nearest-upsample back, concatenate with
     the input (input channels first, then bins in ascending order)."""
@@ -90,10 +103,6 @@ class PyramidPool:
     @property
     def out_ch(self) -> int:
         return self.in_ch + self.reduced * len(self.bins)
-
-    def init_weights(self, rng: np.random.Generator):
-        for conv in self.convs:
-            conv.init_weights(rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h, w = x.shape[2], x.shape[3]
@@ -122,29 +131,9 @@ class PyramidPool:
             dx += ops.avgpool_to_backward(dpooled, in_hw)
         return dx
 
-    def params(self):
-        out = []
-        for conv in self.convs:
-            out += conv.params()
-        return out
 
-    def grads(self):
-        out = []
-        for conv in self.convs:
-            out += conv.grads()
-        return out
-
-    def zero_grads(self):
-        for conv in self.convs:
-            conv.zero_grads()
-
-    @property
-    def n_params(self) -> int:
-        return sum(c.n_params for c in self.convs)
-
-
-class _MiniNet:
-    """Shared plumbing: parameter lists, band normalization, softmax."""
+class _MiniNet(_ConvParams):
+    """Shared plumbing: band normalization, softmax, config."""
 
     arch = ""
 
@@ -157,7 +146,6 @@ class _MiniNet:
         self.patch = patch
         self.band_mean = np.zeros(in_ch)
         self.band_std = np.ones(in_ch)
-        self.blocks = []
 
     def set_band_norm(self, mean, std):
         mean = np.asarray(mean, dtype=np.float64)
@@ -170,34 +158,6 @@ class _MiniNet:
     def _normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64)
                 - self.band_mean[None, :, None, None]) / self.band_std[None, :, None, None]
-
-    def init_weights(self, seed: int):
-        rng = np.random.default_rng(seed)
-        for block in self.blocks:
-            block.init_weights(rng)
-
-    def params(self):
-        out = []
-        for block in self.blocks:
-            out += block.params()
-        return out
-
-    def param_arrays(self):
-        return [p for _, p in self.params()]
-
-    def grads(self):
-        out = []
-        for block in self.blocks:
-            out += block.grads()
-        return out
-
-    def zero_grads(self):
-        for block in self.blocks:
-            block.zero_grads()
-
-    @property
-    def n_params(self) -> int:
-        return sum(b.n_params for b in self.blocks)
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a batch of tiles."""
@@ -224,7 +184,7 @@ class SegNetMini(_MiniNet):
         self.dec1 = Conv2d("dec1", 2 * w, w)
         self.dec2 = Conv2d("dec2", w, w)
         self.head = Conv2d("head", w, n_classes, ksize=1)
-        self.blocks = [self.enc1, self.enc2, self.dec1, self.dec2, self.head]
+        self.convs = [self.enc1, self.enc2, self.dec1, self.dec2, self.head]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self._normalize(x)
@@ -265,8 +225,8 @@ class UNetMini(_MiniNet):
         self.dec1 = Conv2d("dec1", 2 * w + 4 * w, 2 * w)
         self.dec2 = Conv2d("dec2", w + 2 * w, w)
         self.head = Conv2d("head", w, n_classes, ksize=1)
-        self.blocks = [self.enc1, self.enc2, self.bott,
-                       self.dec1, self.dec2, self.head]
+        self.convs = [self.enc1, self.enc2, self.bott,
+                      self.dec1, self.dec2, self.head]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self._normalize(x)
@@ -311,7 +271,7 @@ class PspMini(_MiniNet):
         self.conv2 = Conv2d("conv2", w, w, dilation=2)
         self.pyramid = PyramidPool("pyramid", w, reduced)
         self.head = Conv2d("head", self.pyramid.out_ch, n_classes, ksize=1)
-        self.blocks = [self.conv1, self.conv2, self.pyramid, self.head]
+        self.convs = [self.conv1, self.conv2, *self.pyramid.convs, self.head]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self._normalize(x)
@@ -340,7 +300,7 @@ def build_network(tag: str, in_ch: int = 7, n_classes: int = 6,
     if tag not in _ARCHES:
         raise ValueError(f"unknown architecture {tag!r}; expected one of {ARCH_TAGS}")
     net = _ARCHES[tag](in_ch, n_classes, width=width, patch=patch)
-    net.init_weights(seed)
+    net.init_weights(np.random.default_rng(seed))
     return net
 
 

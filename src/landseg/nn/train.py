@@ -25,15 +25,10 @@ _JITTER_STREAM = 1
 class TrainConfig:
     optimizer: str = "adam"          # "adam" or "sgd"
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     momentum: float = 0.9
     epochs: int = 20
     batch_size: int = 8
     seed: int = 0
-    augment: bool = True
-    normalize: bool = True           # fit per-band mean/std on the train split
     class_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -43,10 +38,14 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
     def make_optimizer(self):
         if self.optimizer == "adam":
-            return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+            return Adam(lr=self.lr)
         return SgdMomentum(lr=self.lr, momentum=self.momentum)
 
 
@@ -132,35 +131,29 @@ def _require_finite(loss, split, epoch):
 def train(net, samples, config: TrainConfig):
     """Train on the sample set's train split; track val loss per epoch.
 
-    Augmentation (when enabled) expands each train tile with its four
-    geometric variants, and every time a train tile enters a batch it gets
-    a fresh spectral_jitter drawn from a stream derived from config.seed,
-    so the nets cannot lean on the train scene's absolute spectral levels.
-    Validation tiles and inference are never jittered. The returned network
-    carries the parameters of the best-validation-loss epoch. A non-finite
-    train or validation loss raises ValueError naming the epoch. Returns
-    (net, history) with history rows (epoch, train_loss, val_loss).
+    Each train tile is joined by its four geometric variants, and every
+    time a train tile enters a batch it gets a fresh spectral_jitter drawn
+    from a stream derived from config.seed, so the nets cannot lean on the
+    train scene's absolute spectral levels. Validation tiles and inference
+    are never jittered. The network's band normalization is fitted on the
+    augmented train tiles. The returned network carries the parameters of
+    the best-validation-loss epoch. A non-finite train or validation loss
+    raises ValueError naming the epoch. Returns (net, history) with history
+    rows (epoch, train_loss, val_loss).
     """
     train_tiles = list(samples.subset("train"))
     val_tiles = list(samples.subset("val"))
     if not train_tiles:
         raise ValueError("no train tiles")
-    if config.augment:
-        expanded = []
-        for t in train_tiles:
-            expanded.append(t)
-            expanded.extend(augment(t))
-        train_tiles = expanded
+    train_tiles = [v for t in train_tiles for v in (t, *augment(t))]
 
     weights = (
         np.asarray(config.class_weights, dtype=np.float64)
         if config.class_weights is not None
         else np.ones(net.n_classes)
     )
-    if config.normalize or config.augment:
-        mean, std = band_stats(train_tiles)
-    if config.normalize:
-        net.set_band_norm(mean, std)
+    mean, std = band_stats(train_tiles)
+    net.set_band_norm(mean, std)
 
     opt = config.make_optimizer()
     rng = np.random.default_rng(config.seed)
@@ -173,10 +166,9 @@ def train(net, samples, config: TrainConfig):
         order = rng.permutation(len(train_tiles))
         batch_losses, batch_sizes = [], []
         for at in range(0, len(order), config.batch_size):
-            batch = [train_tiles[i] for i in order[at:at + config.batch_size]]
-            if config.augment:
-                batch = [spectral_jitter(t, samples.band_names, mean, std,
-                                         jitter_rng) for t in batch]
+            batch = [spectral_jitter(train_tiles[i], samples.band_names,
+                                     mean, std, jitter_rng)
+                     for i in order[at:at + config.batch_size]]
             x, y, valid = _batch_arrays(batch)
             if not valid.any():
                 continue

@@ -271,3 +271,53 @@ def test_experiment_determinism(tmp_path):
     rep = json.loads(a)
     assert rep["protocol"] == "table2"
     assert set(rep["mean_overall_f1"]) == {"cart", "rf"}
+
+
+def _train_net_with_config(scene_dir, tmp_path, config):
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    return main(["train-net", "--arch", "segnet_mini",
+                 "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"),
+                 "--legend", str(scene_dir / "legend.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "net")])
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"epochs": 1, "widht": 4}, "'widht'"),
+    ({"epochs": 1, "augment": False}, "'augment'"),
+    ([1], "JSON object"),
+    ({"epochs": 1, "class_weights": [1, 2]}, "'class_weights'"),
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": 1, "batch_size": 0}, "batch_size"),
+])
+def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
+                                      named):
+    assert _train_net_with_config(scene_dir, tmp_path, config) == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and named in err
+    assert not (tmp_path / "net.json").exists()
+    assert not (tmp_path / "net.bin").exists()
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"n_tree": 5}, "'n_tree'"),
+    ([1], "JSON object"),
+])
+def test_train_pixel_rejects_bad_params(scene_dir, tmp_path, capsys, params,
+                                        named):
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    rc = main(["train-pixel", "--algo", "rf",
+               "--stack", str(scene_dir / "stack"),
+               "--labels", str(scene_dir / "labels"),
+               "--legend", str(scene_dir / "legend.json"),
+               "--samples", "20", "--params", str(tmp_path / "params.json"),
+               "--out", str(tmp_path / "rf.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "params.json" in err and named in err
+    assert not (tmp_path / "rf.json").exists()

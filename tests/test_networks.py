@@ -151,6 +151,26 @@ def test_psp_param_count():
     assert net.n_params == expected
 
 
+# The weights blob is written and read in params() order; a reorder here
+# would still round-trip through save/load but break every saved model.
+MANIFEST_ORDER = {
+    "segnet_mini": ["enc1.w", "enc1.b", "enc2.w", "enc2.b", "dec1.w",
+                    "dec1.b", "dec2.w", "dec2.b", "head.w", "head.b"],
+    "unet_mini": ["enc1.w", "enc1.b", "enc2.w", "enc2.b", "bott.w", "bott.b",
+                  "dec1.w", "dec1.b", "dec2.w", "dec2.b", "head.w", "head.b"],
+    "psp_mini": ["conv1.w", "conv1.b", "conv2.w", "conv2.b",
+                 "pyramid.bin1.w", "pyramid.bin1.b", "pyramid.bin2.w",
+                 "pyramid.bin2.b", "pyramid.bin4.w", "pyramid.bin4.b",
+                 "head.w", "head.b"],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(MANIFEST_ORDER))
+def test_weights_manifest_layer_order(arch):
+    net = build_network(arch, in_ch=7, n_classes=6, width=4)
+    assert [name for name, _ in net.params()] == MANIFEST_ORDER[arch]
+
+
 def test_build_rejects_bad_tag():
     with pytest.raises(ValueError, match="architecture"):
         build_network("resnet", in_ch=7, n_classes=3)
@@ -262,6 +282,10 @@ def test_config_validation():
         TrainConfig(momentum=1.0)
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="rmsprop")
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=0)
 
 
 def test_train_smoke_and_history(rng):

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..jsondoc import JsonDoc, as_array, doc_field, list_of
 from .tree import DecisionTree, cart_train
 
 
 @dataclass
-class RandomForest:
-    trees: list
-    oob_indices: list        # per tree, indices never drawn by its bootstrap
+class RandomForest(JsonDoc):
+    trees: list = doc_field(list_of(DecisionTree.from_json))
+    # per tree, indices never drawn by its bootstrap
+    oob_indices: list = doc_field(list_of(as_array(np.int64)))
     n_classes: int
     n_features: int
     n_rows: int
@@ -49,33 +51,6 @@ class RandomForest:
             pred = tree.predict(x)
             votes[np.arange(x.shape[0]), pred] += 1.0
         return votes / self.n_trees
-
-    def to_json(self) -> dict:
-        return {
-            "trees": [t.to_json() for t in self.trees],
-            "oob_indices": [i.tolist() for i in self.oob_indices],
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "n_rows": self.n_rows,
-            "seed": self.seed,
-            "mtry": self.mtry,
-            "min_leaf": self.min_leaf,
-            "oob_error": self.oob_error,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RandomForest":
-        return cls(
-            trees=[DecisionTree.from_json(t) for t in doc["trees"]],
-            oob_indices=[np.asarray(i, dtype=np.int64) for i in doc["oob_indices"]],
-            n_classes=doc["n_classes"],
-            n_features=doc["n_features"],
-            n_rows=doc["n_rows"],
-            seed=doc["seed"],
-            mtry=doc["mtry"],
-            min_leaf=doc["min_leaf"],
-            oob_error=doc["oob_error"],
-        )
 
 
 def _forest_oob_error(trees, oob_indices, x, y, n_classes) -> float | None:

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ..jsondoc import JsonDoc, as_array, doc_field, list_of
+
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """K(x, z) = exp(-gamma * ||x - z||^2) for all row pairs."""
@@ -88,13 +90,14 @@ def smo_solve(x, y_signed, C, gamma, tol, max_iter):
 
 
 @dataclass
-class PairModel:
+class PairModel(JsonDoc):
     """One binary one-vs-one model: +1 votes class_pos, -1 votes class_neg."""
 
     class_pos: int
     class_neg: int
-    sv: np.ndarray        # (n_sv, d) standardized support vectors
-    coef: np.ndarray      # alpha_i * y_i
+    # (n_sv, d) standardized support vectors
+    sv: np.ndarray = doc_field(as_array(np.float64))
+    coef: np.ndarray = doc_field(as_array(np.float64))  # alpha_i * y_i
     bias: float
     kkt_violation: float
 
@@ -103,10 +106,10 @@ class PairModel:
 
 
 @dataclass
-class SvmClassifier:
-    pairs: list
-    mean: np.ndarray
-    std: np.ndarray
+class SvmClassifier(JsonDoc):
+    pairs: list = doc_field(list_of(PairModel.from_json))
+    mean: np.ndarray = doc_field(as_array(np.float64))
+    std: np.ndarray = doc_field(as_array(np.float64))
     n_classes: int
     C: float = 300.0
     gamma: float = 0.1
@@ -131,50 +134,6 @@ class SvmClassifier:
         total = votes.sum(axis=1, keepdims=True)
         total[total == 0] = 1.0
         return votes / total
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {
-                    "class_pos": pm.class_pos,
-                    "class_neg": pm.class_neg,
-                    "sv": pm.sv.tolist(),
-                    "coef": pm.coef.tolist(),
-                    "bias": pm.bias,
-                    "kkt_violation": pm.kkt_violation,
-                }
-                for pm in self.pairs
-            ],
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "n_classes": self.n_classes,
-            "C": self.C,
-            "gamma": self.gamma,
-            "tol": self.tol,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SvmClassifier":
-        pairs = [
-            PairModel(
-                class_pos=p["class_pos"],
-                class_neg=p["class_neg"],
-                sv=np.asarray(p["sv"], dtype=np.float64),
-                coef=np.asarray(p["coef"], dtype=np.float64),
-                bias=p["bias"],
-                kkt_violation=p["kkt_violation"],
-            )
-            for p in doc["pairs"]
-        ]
-        return cls(
-            pairs=pairs,
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            std=np.asarray(doc["std"], dtype=np.float64),
-            n_classes=doc["n_classes"],
-            C=doc["C"],
-            gamma=doc["gamma"],
-            tol=doc["tol"],
-        )
 
 
 def svm_train(

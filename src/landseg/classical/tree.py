@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..jsondoc import JsonDoc, as_array, doc_field
+
 GAIN_EPS = 1e-12  # integer class counts make true zero gains exact; this
                   # only guards against f64 rounding in the weighted sum
 
@@ -30,14 +32,15 @@ def gini(class_counts) -> float:
 
 
 @dataclass
-class DecisionTree:
+class DecisionTree(JsonDoc):
     """Flat node arrays; feature -1 marks a leaf."""
 
-    feature: np.ndarray     # (nodes,) int, -1 for leaves
-    threshold: np.ndarray   # (nodes,) float
-    left: np.ndarray        # (nodes,) int child index, -1 for leaves
-    right: np.ndarray
-    hist: np.ndarray        # (nodes, K) int class histogram
+    # (nodes,) arrays; feature and the child indices are -1 at leaves
+    feature: np.ndarray = doc_field(as_array(np.int64))
+    threshold: np.ndarray = doc_field(as_array(np.float64))
+    left: np.ndarray = doc_field(as_array(np.int64))
+    right: np.ndarray = doc_field(as_array(np.int64))
+    hist: np.ndarray = doc_field(as_array(np.int64))  # (nodes, K) class counts
     n_classes: int
     min_leaf: int = 5
     max_depth: int | None = None
@@ -74,31 +77,6 @@ class DecisionTree:
         """Normalized leaf histogram per row."""
         h = self.hist[self._leaves(x)].astype(np.float64)
         return h / h.sum(axis=1, keepdims=True)
-
-    def to_json(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "hist": self.hist.tolist(),
-            "n_classes": self.n_classes,
-            "min_leaf": self.min_leaf,
-            "max_depth": self.max_depth,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DecisionTree":
-        return cls(
-            feature=np.asarray(doc["feature"], dtype=np.int64),
-            threshold=np.asarray(doc["threshold"], dtype=np.float64),
-            left=np.asarray(doc["left"], dtype=np.int64),
-            right=np.asarray(doc["right"], dtype=np.int64),
-            hist=np.asarray(doc["hist"], dtype=np.int64),
-            n_classes=doc["n_classes"],
-            min_leaf=doc["min_leaf"],
-            max_depth=doc["max_depth"],
-        )
 
 
 def _best_split(x, y_onehot, feature_ids, min_leaf):

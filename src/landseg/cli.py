@@ -71,7 +71,7 @@ def _require(path, what):
 
 
 def _read_settings(path, what, accepted) -> dict:
-    """A JSON object of settings whose keys all lie in `accepted`."""
+    """A JSON object whose keys all lie in `accepted`."""
     _require(path, what)
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -182,6 +182,9 @@ def cmd_tile(args):
     return 0
 
 
+# keys of the tile stage's output document
+PLAN_KEYS = ("plan", "seed", "dropped", "splits")
+
 TABLE3_DEFAULTS = {
     "cart": {"min_leaf": 5},
     "rf": {"n_trees": 300, "min_leaf": 5},
@@ -221,11 +224,10 @@ def cmd_train_pixel(args):
 def cmd_train_net(args):
     _require(args.stack, "stack raster")
     _require(args.labels, "label raster")
-    _require(args.plan, "tile plan")
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
-    doc = json.loads(Path(args.plan).read_text())
+    doc = _read_settings(args.plan, "tile plan", PLAN_KEYS)
     plan = TilePlan.from_json(doc["plan"])
 
     overrides = {}
@@ -236,6 +238,9 @@ def cmd_train_net(args):
     width = overrides.pop("width", 16)
     use_class_weights = overrides.pop("class_weighting", True)
     try:
+        if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+            raise ValueError(f"'width' must be an integer of at least 1, "
+                             f"got {width!r}")
         cfg = default_config(args.arch, **overrides)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"train config {args.config}: {exc}") from None
@@ -287,8 +292,8 @@ def cmd_predict(args):
     model = load_model(args.model)
     plan = None
     if args.plan is not None:
-        _require(args.plan, "tile plan")
-        plan = TilePlan.from_json(json.loads(Path(args.plan).read_text())["plan"])
+        doc = _read_settings(args.plan, "tile plan", PLAN_KEYS)
+        plan = TilePlan.from_json(doc["plan"])
     label_map, probs = predict_map(model, stack, plan)
     write_labels(label_map, str(args.out) + "_labels")
     write_raster(_prob_raster(probs, stack.valid_mask),

@@ -9,10 +9,13 @@ with dtype "u8", no mask bytes, and 255 as the nodata code.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .jsondoc import JsonDoc
 
 NODATA_ID = 255
 
@@ -39,7 +42,7 @@ DEFAULT_CLASS_COLORS = [
 
 
 @dataclass(frozen=True)
-class ClassLegend:
+class ClassLegend(JsonDoc):
     """Ordered class table: (class_id, name, rgb display color) per entry."""
 
     entries: tuple
@@ -85,13 +88,6 @@ class ClassLegend:
             (c["id"], c["name"], tuple(c["color"])) for c in doc["classes"]
         )
         return cls(entries=entries, nodata_id=doc.get("nodata_id", NODATA_ID))
-
-    def save(self, path):
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ClassLegend":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 def default_legend(n_classes: int = 7) -> ClassLegend:
@@ -204,12 +200,15 @@ class GroundPointSet:
 
     @classmethod
     def load(cls, path) -> "GroundPointSet":
-        text = Path(path).read_text().strip().splitlines()
+        text = Path(path).read_text().rstrip().splitlines()
         if not text or text[0].replace(" ", "") != "row,col,class_id":
             raise ValueError("point file must start with header row,col,class_id")
         points = []
-        for line in text[1:]:
-            r, c, cid = (int(v) for v in line.split(","))
+        for n, line in enumerate(text[1:], start=2):
+            try:
+                r, c, cid = (int(v) for v in line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
             points.append((r, c, cid))
         return cls(points=points)
 
@@ -237,17 +236,27 @@ def read_container(path_stem, body_size) -> tuple:
     return header, body
 
 
+def _n_pixels(sidecar: dict) -> int:
+    """width * height, once both are checked to be positive integers."""
+    for key in ("width", "height"):
+        value = sidecar.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"sidecar {key!r} must be a positive integer, "
+                             f"got {reprlib.repr(value)}")
+    return sidecar["width"] * sidecar["height"]
+
+
 def _raster_body_size(sidecar: dict) -> int:
     if sidecar.get("dtype") != "f32":
         raise ValueError(f"expected dtype f32, got {sidecar.get('dtype')}")
-    n_pix = sidecar["width"] * sidecar["height"]
+    n_pix = _n_pixels(sidecar)
     return len(sidecar["bands"]) * n_pix * 4 + n_pix
 
 
 def _labels_body_size(sidecar: dict) -> int:
     if sidecar.get("dtype") != "u8":
         raise ValueError(f"expected dtype u8, got {sidecar.get('dtype')}")
-    return sidecar["width"] * sidecar["height"]
+    return _n_pixels(sidecar)
 
 
 def write_raster(r: Raster, path_stem) -> None:

@@ -95,15 +95,21 @@ class FeatureTable:
 
     @classmethod
     def load_csv(cls, path) -> "FeatureTable":
-        lines = Path(path).read_text().strip().splitlines()
+        lines = Path(path).read_text().rstrip().splitlines()
         header = lines[0].split(",")
         if header[-1] != "class_id":
             raise ValueError("feature CSV must end with a class_id column")
         x, y = [], []
-        for line in lines[1:]:
+        for n, line in enumerate(lines[1:], start=2):
             parts = line.split(",")
-            x.append([float(v) for v in parts[:-1]])
-            y.append(int(parts[-1]))
+            if len(parts) != len(header):
+                raise ValueError(f"{path} line {n}: {len(parts)} values, "
+                                 f"expected {len(header)}")
+            try:
+                x.append([float(v) for v in parts[:-1]])
+                y.append(int(parts[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
         return cls(
             x=np.asarray(x, dtype=np.float64),
             y=np.asarray(y, dtype=np.int64),

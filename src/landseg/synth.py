@@ -11,11 +11,10 @@ keeps regions contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import json
-from pathlib import Path
 
 import numpy as np
 
+from .jsondoc import JsonDoc, doc_field
 from .preprocess import slope_from_dem, stack_bands
 from .raster import (
     LabelRaster,
@@ -59,7 +58,7 @@ SHIFT_PROFILE = np.array([0.4, 0.7, 1.0, 1.3, 1.6])
 
 
 @dataclass
-class SceneSpec:
+class SceneSpec(JsonDoc):
     width: int = 512
     height: int = 512
     seed: int = 0
@@ -69,7 +68,7 @@ class SceneSpec:
     band_correlation: float = 0.5
     elevation_bands: np.ndarray = None
     slope_pref: np.ndarray = None
-    dem_range: tuple = (0.0, 2000.0)
+    dem_range: tuple = doc_field(tuple, default=(0.0, 2000.0))
     cell_size: float = 30.0
     smoothness: int = 24          # label-noise granularity in pixels
     terrain_weight: float = 3.0
@@ -114,46 +113,6 @@ class SceneSpec:
 
     def legend(self):
         return default_legend(self.n_classes)
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-            "spectral_means": self.spectral_means.tolist(),
-            "spectral_noise": self.spectral_noise,
-            "band_correlation": self.band_correlation,
-            "elevation_bands": self.elevation_bands.tolist(),
-            "slope_pref": self.slope_pref.tolist(),
-            "dem_range": list(self.dem_range),
-            "cell_size": self.cell_size,
-            "smoothness": self.smoothness,
-            "terrain_weight": self.terrain_weight,
-            "slope_weight": self.slope_weight,
-            "label_noise": self.label_noise,
-            "cloud_fraction": self.cloud_fraction,
-            "spectral_seed": self.spectral_seed,
-            "spectral_shift": self.spectral_shift,
-            "radiometric_patchiness": self.radiometric_patchiness,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SceneSpec":
-        doc = dict(doc)
-        for key in ("spectral_means", "elevation_bands", "slope_pref"):
-            if doc.get(key) is not None:
-                doc[key] = np.asarray(doc[key], dtype=np.float64)
-        if doc.get("dem_range") is not None:
-            doc["dem_range"] = tuple(doc["dem_range"])
-        return cls(**doc)
-
-    def save(self, path):
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SceneSpec":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 def _midpoint_displacement(target: int, rng: np.random.Generator,

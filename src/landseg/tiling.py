@@ -9,12 +9,11 @@ border and midpoint ties go to the later (larger-anchor) tile.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .jsondoc import JsonDoc, doc_field, list_of
 from .raster import LabelRaster, NODATA_ID, Raster
 
 
@@ -41,14 +40,15 @@ def reflect_pad_to(arr: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
 
 
 @dataclass
-class TilePlan:
+class TilePlan(JsonDoc):
     """Deterministic enumeration of patch anchors over an image."""
 
     patch: int
     stride: int
     width: int
     height: int
-    anchors: list  # (row, col) top-left corners, row-major
+    # (row, col) top-left corners, row-major
+    anchors: list = doc_field(list_of(tuple))
 
     @property
     def padded_width(self) -> int:
@@ -57,32 +57,6 @@ class TilePlan:
     @property
     def padded_height(self) -> int:
         return max(self.height, self.patch)
-
-    def to_json(self) -> dict:
-        return {
-            "patch": self.patch,
-            "stride": self.stride,
-            "width": self.width,
-            "height": self.height,
-            "anchors": [list(a) for a in self.anchors],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TilePlan":
-        return cls(
-            patch=doc["patch"],
-            stride=doc["stride"],
-            width=doc["width"],
-            height=doc["height"],
-            anchors=[tuple(a) for a in doc["anchors"]],
-        )
-
-    def save(self, path):
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TilePlan":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 def _axis_anchors(dim: int, patch: int, stride: int) -> list:

@@ -1,25 +1,40 @@
 """The benchmark's tracer (bench/tracer.py) patches landseg functions by
-name and reads conv caches by position; a rename or a cache reorder in
-src/ should fail here, not only in a traced benchmark run."""
+name and reads conv caches by position, and its checks (bench/checks.py)
+read saved models with their own readers; a rename, a cache reorder or a
+document layout drift in src/ should fail here, not only in a benchmark
+run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from landseg.nn import ops
+from landseg.classical import rf_train, svm_train
+from landseg.models import save_model
+from landseg.nn import build_network, ops, save_network
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def _resolve(module, dotted):
@@ -51,3 +66,45 @@ def test_conv_cache_holds_weight_in_slot_2(rng, k):
     w = rng.standard_normal((4, 3, k, k))
     _, cache = ops.conv2d_forward(x, w, np.zeros(4))
     assert cache[2] is w
+
+
+def _blobs(rng, n=40):
+    y = np.repeat(np.arange(3), n)
+    centers = np.array([[0.0, 0.0, 1.0], [4.0, 4.0, 0.0], [4.0, 0.0, 2.0]])
+    return centers[y] + rng.standard_normal((y.size, 3)), y
+
+
+def _saved_model(model, path):
+    save_model(model, path, band_names=["a", "b", "c"])
+    return json.loads(path.read_text())["model"]
+
+
+def test_checks_walk_saved_forest(checks, rng, tmp_path):
+    x, y = _blobs(rng)
+    forest = rf_train(x, y, n_trees=7, seed=3)
+    doc = _saved_model(forest, tmp_path / "rf.json")
+    probe = rng.uniform(-2, 6, size=(60, 3))
+    assert np.array_equal(checks.rf_votes(doc, probe),
+                          forest.predict_proba(probe))
+
+
+def test_checks_vote_saved_svm(checks, rng, tmp_path):
+    x, y = _blobs(rng, n=15)
+    svm = svm_train(x, y, n_classes=3)
+    doc = _saved_model(svm, tmp_path / "svm.json")
+    probe = rng.uniform(-2, 6, size=(60, 3))
+    votes, margin = checks.svm_votes(doc, probe)
+    clear = margin > 1e-6
+    assert clear.sum() > 50
+    assert np.array_equal(votes[clear], svm.predict_proba(probe)[clear])
+
+
+def test_checks_read_saved_weights(checks, tmp_path):
+    net = build_network("psp_mini", in_ch=3, n_classes=3, width=4, patch=16,
+                        seed=1)
+    save_network(net, tmp_path / "net")
+    man, params = checks.read_weights(tmp_path / "net")
+    assert man["arch"] == "psp_mini"
+    assert list(params) == [name for name, _ in net.params()]
+    for name, p in net.params():
+        assert np.array_equal(params[name], p), name

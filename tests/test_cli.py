@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from landseg import GroundPointSet, read_labels, read_raster, write_raster
+from landseg.classical import rf_train
 from landseg.cli import main
+from landseg.models import save_model
 from landseg.nn import build_network, save_network
 from landseg.synth import SceneSpec
 
@@ -222,6 +224,70 @@ def test_evaluate_rejects_non_object_sidecar(scene_dir, tmp_path, capsys):
     assert "pred.json" in err and "JSON object" in err
 
 
+def test_evaluate_rejects_string_sidecar_dims(scene_dir, tmp_path, capsys):
+    sidecar = json.loads((scene_dir / "labels.json").read_text())
+    sidecar["width"] = str(sidecar["width"])
+    (tmp_path / "pred.json").write_text(json.dumps(sidecar))
+    (tmp_path / "pred.bin").write_bytes((scene_dir / "labels.bin").read_bytes())
+    rc = main(["evaluate", "--pred", str(tmp_path / "pred"),
+               "--truth", str(scene_dir / "labels"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'width'" in err and len(err) < 120
+
+
+@pytest.mark.parametrize("rows, named", [
+    (["1,2,0", "3,4"], "line 3"),
+    (["1,x,0"], "line 2"),
+])
+def test_evaluate_names_bad_points_row(scene_dir, tmp_path, capsys, rows,
+                                       named):
+    (tmp_path / "x.csv").write_text("\n".join(["row,col,class_id", *rows]))
+    rc = main(["evaluate", "--pred", str(scene_dir / "labels"),
+               "--truth", str(tmp_path / "x.csv"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "x.csv" in err and named in err
+
+
+def test_synth_names_unknown_spec_key(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps({"widht": 64}))
+    rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'widht'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_names_missing_tree_field(scene_dir, tmp_path, capsys):
+    x = np.arange(14.0).reshape(2, 7)
+    save_model(rf_train(x, np.array([0, 1]), n_trees=2, min_leaf=1),
+               tmp_path / "rf.json")
+    doc = json.loads((tmp_path / "rf.json").read_text())
+    del doc["model"]["trees"][1]["feature"]
+    (tmp_path / "rf.json").write_text(json.dumps(doc))
+    rc = main(["predict", "--model", str(tmp_path / "rf.json"),
+               "--stack", str(scene_dir / "stack"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "DecisionTree" in err and "'feature'" in err
+
+
+def test_predict_rejects_non_object_plan(scene_dir, tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1]")
+    save_network(build_network("psp_mini", in_ch=7, n_classes=6, width=4,
+                               patch=64), tmp_path / "net")
+    assert main(["predict", "--model", str(tmp_path / "net"),
+                 "--stack", str(scene_dir / "stack"),
+                 "--plan", str(tmp_path / "list.json"),
+                 "--out", str(tmp_path / "pred")]) == 2
+    err = capsys.readouterr().err
+    assert "list.json" in err and "JSON object" in err
+
+
 def test_predict_names_missing_layers_field(scene_dir, tmp_path, capsys):
     assert main(["tile", "--stack", str(scene_dir / "stack"),
                  "--labels", str(scene_dir / "labels"), "--patch", "64",
@@ -294,6 +360,9 @@ def _train_net_with_config(scene_dir, tmp_path, config):
     ({"epochs": 1, "class_weights": [1, 2]}, "'class_weights'"),
     ({"epochs": 0}, "epochs"),
     ({"epochs": 1, "batch_size": 0}, "batch_size"),
+    ({"epochs": 1.5}, "epochs"),
+    ({"epochs": 1, "width": 4.5}, "'width'"),
+    ({"epochs": 1, "width": 0}, "'width'"),
 ])
 def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
                                       named):

@@ -1,0 +1,144 @@
+"""The shared JSON document codec (landseg.jsondoc) and the saved bytes of
+every document class that uses it."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from landseg.classical import DecisionTree, RandomForest, cart_train, rf_train
+from landseg.classical.svm import PairModel, SvmClassifier
+from landseg.models import save_model
+from landseg.synth import SceneSpec
+from landseg.tiling import TilePlan, plan_tiles
+
+X = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 2], [2, 3], [3, 2],
+              [3, 3], [0, 3], [3, 0], [1, 2], [2, 1]], dtype=np.float64)
+Y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
+
+
+def fixed_documents():
+    """Tiny models and specs whose saved bytes are pinned below."""
+    svm = SvmClassifier(
+        pairs=[PairModel(0, 1, np.array([[0.5, -1.0], [1.25, 0.1]]),
+                         np.array([0.75, -0.75]), 0.125, 1e-4),
+               PairModel(0, 2, np.array([[-0.3, 2.0]]), np.array([1.5]),
+                         -0.25, 0.0)],
+        mean=np.array([1.5, 1.5]), std=np.array([1.1, 1.2]), n_classes=3)
+    return {
+        "cart": cart_train(X, Y, min_leaf=1),
+        "rf": rf_train(X, Y, n_trees=3, min_leaf=1, seed=5),
+        "svm": svm,
+        "plan": plan_tiles(100, 70, patch=32, stride=24),
+        "spec": SceneSpec(width=64, height=48, seed=3, spectral_seed=9),
+    }
+
+
+# sha256 of each document as written before the shared codec existed
+PINNED = {
+    "cart": "a9026957403d84ea617a6f70d9e6024bfb2332a9f5ae662e45051e80a8708901",
+    "rf": "a090bea8a276aeea99537037edfe11be316d93bc8e5704b872f725481cb63a33",
+    "svm": "21410f3d8c1e691dd936153dbd9eaa536abf0b5c6a5a3862879c68044ea88538",
+    "plan": "0738214e3e3100ccd28767dc940603e07c205e0a1ae2346803c44a9677bb37b6",
+    "spec": "0b4ef6e1c0b52dc448a0b4eac0fef77bfb1ed1482991cef32f07b57603c8f620",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_saved_document_bytes_are_pinned(tmp_path, name):
+    obj = fixed_documents()[name]
+    path = tmp_path / f"{name}.json"
+    if name in ("plan", "spec"):
+        obj.save(path)
+    else:
+        save_model(obj, path, band_names=["a", "b"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name]
+
+
+def _json_round_trip(obj):
+    back = type(obj).from_json(json.loads(json.dumps(obj.to_json())))
+    assert back.to_json() == obj.to_json()
+    return back
+
+
+def _assert_tree_dtypes(tree):
+    for name in ("feature", "left", "right", "hist"):
+        assert getattr(tree, name).dtype == np.int64, name
+    assert tree.threshold.dtype == np.float64
+    assert tree.hist.ndim == 2
+
+
+def test_round_trip_keeps_node_and_oob_dtypes():
+    docs = fixed_documents()
+    _assert_tree_dtypes(_json_round_trip(docs["cart"]))
+    for forest in (docs["rf"], rf_train(X, Y, n_trees=2, bootstrap=False)):
+        back = _json_round_trip(forest)
+        assert all(isinstance(t, DecisionTree) for t in back.trees)
+        for tree in back.trees:
+            _assert_tree_dtypes(tree)
+        assert [i.dtype for i in back.oob_indices] == [np.int64] * len(
+            forest.oob_indices)
+        assert [i.tolist() for i in back.oob_indices] == [
+            i.tolist() for i in forest.oob_indices]
+        assert np.array_equal(back.predict_proba(X), forest.predict_proba(X))
+    # without bootstrap every OOB set is empty, and stays int64
+    assert back.oob_indices[0].size == 0 and back.oob_error is None
+
+
+def test_round_trip_keeps_svm_arrays():
+    svm = fixed_documents()["svm"]
+    back = _json_round_trip(svm)
+    assert all(isinstance(p, PairModel) for p in back.pairs)
+    assert back.pairs[0].sv.shape == (2, 2)
+    for arr in (back.mean, back.std, back.pairs[1].sv, back.pairs[1].coef):
+        assert arr.dtype == np.float64
+    assert np.array_equal(back.predict_proba(X), svm.predict_proba(X))
+    pair = _json_round_trip(svm.pairs[0])
+    assert pair.bias == 0.125 and pair.coef.dtype == np.float64
+
+
+def test_round_trip_keeps_tuples(tmp_path):
+    docs = fixed_documents()
+    docs["plan"].save(tmp_path / "plan.json")
+    plan = TilePlan.load(tmp_path / "plan.json")
+    assert plan.anchors == docs["plan"].anchors
+    assert all(type(a) is tuple for a in plan.anchors)
+    spec = _json_round_trip(docs["spec"])
+    assert spec.dem_range == (0.0, 2000.0) and type(spec.dem_range) is tuple
+    assert spec.spectral_means.dtype == np.float64
+
+
+def test_partial_scene_spec_keeps_defaults():
+    spec = SceneSpec.from_json({"width": 40, "seed": 2,
+                                "dem_range": [10, 1500]})
+    want = SceneSpec(width=40, seed=2, dem_range=(10, 1500))
+    assert spec.to_json() == want.to_json()
+    assert spec.height == 512 and spec.dem_range == (10, 1500)
+
+
+def test_unknown_and_missing_keys_are_named():
+    doc = fixed_documents()["cart"].to_json()
+    with pytest.raises(ValueError, match="DecisionTree .*unknown key 'extra'"):
+        DecisionTree.from_json({**doc, "extra": 1})
+    del doc["feature"]
+    with pytest.raises(ValueError, match="DecisionTree .*'feature'"):
+        DecisionTree.from_json(doc)
+    with pytest.raises(ValueError, match="SceneSpec .*unknown key 'widht'"):
+        SceneSpec.from_json({"widht": 64})
+    with pytest.raises(ValueError, match="TilePlan .*'anchors'"):
+        TilePlan.from_json({"patch": 8, "stride": 4, "width": 8,
+                            "height": 8})
+
+
+def test_nested_and_non_object_documents_are_named():
+    forest = fixed_documents()["rf"].to_json()
+    del forest["trees"][1]["hist"]
+    with pytest.raises(ValueError, match="RandomForest 'trees'.*"
+                                         "DecisionTree .*'hist'"):
+        RandomForest.from_json(forest)
+    with pytest.raises(ValueError, match="TilePlan .*JSON object, got list"):
+        TilePlan.from_json([1])
+    with pytest.raises(ValueError, match="SvmClassifier 'pairs'.*PairModel"):
+        SvmClassifier.from_json({"pairs": [3], "mean": [0.0], "std": [1.0],
+                                 "n_classes": 2})

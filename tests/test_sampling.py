@@ -155,3 +155,14 @@ def test_feature_table_csv_round_trip(tmp_path, rng):
     assert back.band_names == t.band_names
     assert np.array_equal(back.x, t.x)
     assert np.array_equal(back.y, t.y)
+
+
+@pytest.mark.parametrize("row, named", [
+    ("1.0,2", "line 3: 2 values, expected 3"),
+    ("1.0,x,2", "line 3: could not convert"),
+    ("1.0,2.0,y", "line 3: invalid literal"),
+])
+def test_feature_table_csv_names_bad_line(tmp_path, row, named):
+    (tmp_path / "t.csv").write_text(f"a,b,class_id\n0.5,1.5,0\n{row}\n")
+    with pytest.raises(ValueError, match=f"t.csv {named}"):
+        FeatureTable.load_csv(tmp_path / "t.csv")

@@ -4,7 +4,10 @@ feature importance.
 Each tree trains on a bootstrap of size n with mtry = ceil(sqrt(d)) random
 features per split by default. A tree's out-of-bag set is the complement of
 its bootstrap; the forest's OOB error aggregates per-sample majority votes
-over the trees that did not see the sample.
+over the trees that did not see the sample. All trees grow in lockstep, one
+node of each per batched split search; with threads > 1 each thread grows
+a contiguous group of trees that way. Each tree's own rng keeps the result
+independent of both.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..jsondoc import JsonDoc, as_array, doc_field, list_of
-from .tree import DecisionTree, cart_train
+from .tree import DecisionTree, _grow
 
 
 @dataclass
@@ -88,31 +91,29 @@ def rf_train(
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n_trees)]
+    if bootstrap:
+        boots = [rng.integers(0, n, size=n) for rng in rngs]
+        oob_indices = [np.flatnonzero(np.bincount(b, minlength=n) == 0)
+                       for b in boots]
+    else:
+        boots = [np.arange(n)] * n_trees
+        oob_indices = [np.zeros(0, dtype=np.int64) for _ in range(n_trees)]
 
-    def build(t):
-        rng = np.random.default_rng(seeds[t])
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            oob = np.setdiff1d(np.arange(n), idx)
-        else:
-            idx = np.arange(n)
-            oob = np.zeros(0, dtype=np.int64)
-        tree = cart_train(
-            x[idx], y[idx],
-            min_leaf=min_leaf, max_depth=max_depth,
-            n_classes=n_classes, rng=rng, mtry=mtry,
-        )
-        return tree, oob
+    def grow(lo, hi):
+        return _grow(x, y, boots[lo:hi], rngs[lo:hi], n_classes,
+                     min_leaf, max_depth, mtry)
 
     if threads > 1:
+        # contiguous groups of trees, each grown in lockstep
+        cuts = np.linspace(0, n_trees, threads + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, range(n_trees)))
+            trees = [t for part in pool.map(grow, cuts[:-1], cuts[1:])
+                     for t in part]
     else:
-        built = [build(t) for t in range(n_trees)]
+        trees = grow(0, n_trees)
 
-    trees = [b[0] for b in built]
-    oob_indices = [b[1] for b in built]
     forest = RandomForest(
         trees=trees, oob_indices=oob_indices,
         n_classes=n_classes, n_features=d, n_rows=n, seed=seed,

@@ -88,7 +88,10 @@ def _load_legend(path) -> ClassLegend:
     if path is None:
         return default_legend(6)
     _require(path, "legend")
-    return ClassLegend.load(path)
+    try:
+        return ClassLegend.load(path)
+    except ValueError as exc:
+        raise ValueError(f"legend {path}: {exc}") from None
 
 
 def _prob_raster(probs: np.ndarray, mask: np.ndarray) -> Raster:

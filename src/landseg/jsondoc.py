@@ -2,7 +2,8 @@
 
 Fields are written in declaration order, arrays and tuples as lists and
 nested documents as objects. Reading types a field through the decoder in
-its `doc_field` metadata and keeps the default of a field left out.
+its `doc_field` metadata. A document must hold every field, unless its
+class sets `partial`: then a field left out keeps its default.
 """
 
 from __future__ import annotations
@@ -42,8 +43,20 @@ def _encode(value):
     return value
 
 
+def check_object(doc, name, known):
+    """Raise ValueError unless doc is a JSON object with keys among known."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} document must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{name} document has unknown key {unknown[0]!r}")
+
+
 class JsonDoc:
     """to_json, from_json, save and load of a dataclass, over its fields."""
+
+    partial = False  # whether a document may leave out defaulted fields
 
     def to_json(self) -> dict:
         return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
@@ -51,17 +64,13 @@ class JsonDoc:
     @classmethod
     def from_json(cls, doc):
         name = cls.__name__
-        if not isinstance(doc, dict):
-            raise ValueError(f"{name} document must be a JSON object, "
-                             f"got {type(doc).__name__}")
         known = fields(cls)
-        unknown = sorted(set(doc) - {f.name for f in known})
-        if unknown:
-            raise ValueError(f"{name} document has unknown key {unknown[0]!r}")
+        check_object(doc, name, [f.name for f in known])
         kwargs = {}
         for f in known:
             if f.name not in doc:
-                if f.default is MISSING and f.default_factory is MISSING:
+                if not cls.partial or (f.default is MISSING
+                                       and f.default_factory is MISSING):
                     raise ValueError(f"{name} document has no {f.name!r}")
                 continue
             value = doc[f.name]

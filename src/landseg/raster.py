@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsondoc import JsonDoc
+from .jsondoc import JsonDoc, check_object
 
 NODATA_ID = 255
 
@@ -83,11 +83,21 @@ class ClassLegend(JsonDoc):
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ClassLegend":
-        entries = tuple(
-            (c["id"], c["name"], tuple(c["color"])) for c in doc["classes"]
-        )
-        return cls(entries=entries, nodata_id=doc.get("nodata_id", NODATA_ID))
+    def from_json(cls, doc) -> "ClassLegend":
+        check_object(doc, "ClassLegend", ("classes", "nodata_id"))
+        if not isinstance(doc.get("classes"), list):
+            raise ValueError("ClassLegend document needs a 'classes' list")
+        entries = []
+        for c in doc["classes"]:
+            check_object(c, "ClassLegend class", ("id", "name", "color"))
+            if not {"id", "name", "color"} <= set(c):
+                raise ValueError("ClassLegend class needs 'id', 'name' and "
+                                 f"'color', got {sorted(c)}")
+            if not isinstance(c["color"], list):
+                raise ValueError("ClassLegend class 'color' must be a list")
+            entries.append((c["id"], c["name"], tuple(c["color"])))
+        return cls(entries=tuple(entries),
+                   nodata_id=doc.get("nodata_id", NODATA_ID))
 
 
 def default_legend(n_classes: int = 7) -> ClassLegend:

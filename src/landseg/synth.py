@@ -59,6 +59,8 @@ SHIFT_PROFILE = np.array([0.4, 0.7, 1.0, 1.3, 1.6])
 
 @dataclass
 class SceneSpec(JsonDoc):
+    partial = True  # a spec names only what it changes
+
     width: int = 512
     height: int = 512
     seed: int = 0

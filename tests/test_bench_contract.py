@@ -7,14 +7,19 @@ run."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from landseg.classical import rf_train, svm_train
+from landseg.cli import main
 from landseg.models import save_model
 from landseg.nn import build_network, ops, save_network
+from landseg.synth import SceneSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -108,3 +113,29 @@ def test_checks_read_saved_weights(checks, tmp_path):
     assert list(params) == [name for name, _ in net.params()]
     for name, p in net.params():
         assert np.array_equal(params[name], p), name
+
+
+def _traced(tmp_path, spans, *argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(BENCH.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), str(tmp_path / spans),
+         *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads((tmp_path / spans).read_text())["calls"]
+
+
+def test_tracer_records_forest_layers(tmp_path):
+    # a traced benchmark run fails when one of these records no call
+    SceneSpec(width=128, height=128, seed=3).save(tmp_path / "spec.json")
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "scene")]) == 0
+    (tmp_path / "params.json").write_text('{"n_trees": 4}')
+    train = _traced(tmp_path, "train.json", "train-pixel", "--algo", "rf",
+                    "--stack", "scene/stack", "--labels", "scene/labels",
+                    "--legend", "scene/legend.json", "--samples", "10",
+                    "--params", "params.json", "--out", "rf.json")
+    assert train.get("tree.fit.s", 0) > 0 and train.get("forest.fit.s", 0) > 0
+    predict = _traced(tmp_path, "predict.json", "predict", "--model",
+                      "rf.json", "--stack", "scene/stack", "--out", "rf")
+    assert predict.get("tree.predict.s", 0) > 0

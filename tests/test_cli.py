@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landseg import GroundPointSet, read_labels, read_raster, write_raster
-from landseg.classical import rf_train
+from landseg.classical import rf_train, svm_train
 from landseg.cli import main
 from landseg.models import save_model
 from landseg.nn import build_network, save_network
@@ -224,6 +224,28 @@ def test_evaluate_rejects_non_object_sidecar(scene_dir, tmp_path, capsys):
     assert "pred.json" in err and "JSON object" in err
 
 
+_CLASS = {"id": 0, "name": "a", "color": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("legend,named", [
+    ([1], "JSON object, got list"),
+    ({"classes": [_CLASS], "colour": 1}, "unknown key 'colour'"),
+    ({"classes": [{**_CLASS, "rgb": [1, 2, 3]}]}, "unknown key 'rgb'"),
+    ({"classes": [{"id": 0, "name": "a"}]}, "'color'"),
+    ({"nodata_id": 255}, "'classes' list"),
+])
+def test_evaluate_rejects_bad_legend(scene_dir, tmp_path, capsys, legend,
+                                     named):
+    (tmp_path / "bad_legend.json").write_text(json.dumps(legend))
+    rc = main(["evaluate", "--pred", str(scene_dir / "labels"),
+               "--truth", str(scene_dir / "labels"),
+               "--legend", str(tmp_path / "bad_legend.json"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_legend.json" in err and named in err
+
+
 def test_evaluate_rejects_string_sidecar_dims(scene_dir, tmp_path, capsys):
     sidecar = json.loads((scene_dir / "labels.json").read_text())
     sidecar["width"] = str(sidecar["width"])
@@ -274,6 +296,22 @@ def test_predict_names_missing_tree_field(scene_dir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "DecisionTree" in err and "'feature'" in err
+
+
+def test_predict_names_missing_svm_gamma(scene_dir, tmp_path, capsys):
+    x = np.arange(28.0).reshape(4, 7)
+    save_model(svm_train(x, np.array([0, 1, 0, 1]), gamma=0.5),
+               tmp_path / "svm.json")
+    doc = json.loads((tmp_path / "svm.json").read_text())
+    del doc["model"]["gamma"]
+    (tmp_path / "svm.json").write_text(json.dumps(doc))
+    rc = main(["predict", "--model", str(tmp_path / "svm.json"),
+               "--stack", str(scene_dir / "stack"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "SvmClassifier" in err and "'gamma'" in err
+    assert not (tmp_path / "pred_labels.json").exists()
 
 
 def test_predict_rejects_non_object_plan(scene_dir, tmp_path, capsys):

@@ -131,6 +131,19 @@ def test_unknown_and_missing_keys_are_named():
                             "height": 8})
 
 
+@pytest.mark.parametrize("kind,key", [
+    ("cart", "min_leaf"), ("cart", "max_depth"), ("rf", "oob_error"),
+    ("svm", "C"), ("svm", "gamma"), ("svm", "tol"),
+])
+def test_model_documents_need_defaulted_fields(kind, key):
+    model = fixed_documents()[kind]
+    doc = model.to_json()
+    del doc[key]
+    cls = type(model)
+    with pytest.raises(ValueError, match=f"{cls.__name__} .*{key!r}"):
+        cls.from_json(doc)
+
+
 def test_nested_and_non_object_documents_are_named():
     forest = fixed_documents()["rf"].to_json()
     del forest["trees"][1]["hist"]

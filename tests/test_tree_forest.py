@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,25 @@ def test_gini_values():
 def test_gini_empty_node():
     with pytest.raises(ValueError, match="empty"):
         gini([0, 0])
+
+
+@pytest.mark.parametrize("k", [2, 6, 9, 17])
+def test_gini_of_count_matrix_matches_rows(rng, k):
+    counts = rng.integers(0, 40, size=(300, k))
+    counts[:, 0] += 1
+    rows = np.array([gini(c) for c in counts])
+    # Fortran order and int32 must not change the bits either
+    for matrix in (counts, np.asfortranarray(counts.astype(np.int32))):
+        g = gini(matrix)
+        assert g.shape == (300,)
+        assert g.tobytes() == rows.tobytes()
+
+
+def test_gini_of_count_matrix_rejects_bad_rows():
+    with pytest.raises(ValueError, match="non-negative"):
+        gini([[3, 1], [2, -1]])
+    with pytest.raises(ValueError, match="empty"):
+        gini([[3, 1], [0, 0]])
 
 
 # -------------------------------------------------------------------- cart
@@ -201,6 +222,93 @@ def test_rf_json_round_trip(rng):
     back = RandomForest.from_json(forest.to_json())
     probe = rng.random((20, 2))
     assert np.array_equal(back.predict(probe), forest.predict(probe))
+
+
+# ---------------------------------------------- pinned node arrays, OOB sets
+
+def _table(n=600, d=7, k=6, seed=1):
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % k
+    return rng.normal(size=(n, d)) + y[:, None] * rng.normal(size=(1, d)), y
+
+
+X7, Y7 = _table()
+X7_TIES = np.round(X7)            # about 10 distinct values per feature
+X_FEW, Y_FEW = X7[:40], np.where(Y7[:40] == 5, 4, Y7[:40])
+Y_FEW[0] = 5                      # one row of class 5; class 6 has none
+
+GROWN = {
+    "rf": lambda: rf_train(X7, Y7, n_trees=30, seed=7),
+    "rf_ties": lambda: rf_train(X7_TIES, Y7, n_trees=30, seed=7),
+    "rf_min_leaf_1": lambda: rf_train(X7_TIES, Y7, n_trees=30, min_leaf=1,
+                                      seed=7),
+    "rf_depth_3": lambda: rf_train(X7, Y7, n_trees=30, max_depth=3, seed=7),
+    "rf_mtry_d": lambda: rf_train(X7, Y7, n_trees=30, mtry=7, seed=7),
+    "rf_absent": lambda: rf_train(X_FEW, Y_FEW, n_trees=30, n_classes=7,
+                                  min_leaf=1, seed=7),
+    "cart": lambda: cart_train(X7, Y7),
+    "cart_ties": lambda: cart_train(X7_TIES, Y7),
+    "cart_min_leaf_1": lambda: cart_train(X7_TIES, Y7, min_leaf=1),
+    "cart_depth_3": lambda: cart_train(X7, Y7, max_depth=3),
+    "cart_absent": lambda: cart_train(X_FEW, Y_FEW, n_classes=7, min_leaf=1),
+}
+
+# sha256 of every node array and OOB set, as grown one tree at a time by
+# the per-node split search that lockstep growth replaced
+PINNED_GROWTH = {
+    "cart":
+        "18e4f5ebf36e9ee7a0e8777fe6fb05d954e92dfc4c2d76606c04b6a02dde2a48",
+    "cart_absent":
+        "052372df4aaf2c28611f9fc7f60284dbec27c58a0f4da38aea8fbe3c9ce863ad",
+    "cart_depth_3":
+        "3b382dadf472de53607d5b3377bdad7367a8525376802044be65e6d8c2122ec0",
+    "cart_min_leaf_1":
+        "90669b41bdbc2d8743619ad371f57a124aa0b76bc985b59720fa293667d6729c",
+    "cart_ties":
+        "decb89f170a222a433eec8ce2cd270487157fe46497bd2d5243591edbb3a0e48",
+    "rf":
+        "00f03c83414b9d2434176905036926a0f77bf53b27aa7f9437d8c046647bbe4a",
+    "rf_absent":
+        "f5dc3f528d07fc6be5323a8720a7b06e75f809d88d1cd144862e97e7826a737d",
+    "rf_depth_3":
+        "b36c79cd4990ff7d7e7031bc6b19d5d4942ff9455502384aadf6ac170aafa6e1",
+    "rf_min_leaf_1":
+        "f6133991bb0736084e52bde6ebd2a12117e3dd4cf000b9d4a2b5a37d360ed81c",
+    "rf_mtry_d":
+        "918b0eb15064ba5bdaafc2066c15d0e5fb3f381f6d4f7811495188c2ea5399d3",
+    "rf_ties":
+        "72298d788f14f96b3da147583a48734f687bda6d0007ce9ac1cb919c7b472fa3",
+}
+
+
+def growth_digest(model) -> str:
+    trees = getattr(model, "trees", [model])
+    h = hashlib.sha256()
+    for t in trees:
+        for a in (t.feature, t.threshold, t.left, t.right, t.hist):
+            h.update(np.ascontiguousarray(a).tobytes())
+    for oob in getattr(model, "oob_indices", []):
+        h.update(np.asarray(oob, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GROWN))
+def test_growth_matches_pinned_digest(name):
+    assert growth_digest(GROWN[name]()) == PINNED_GROWTH[name]
+
+
+def test_growth_independent_of_search_size(monkeypatch):
+    # tiny searches split each step into many, and single nodes overflow
+    from landseg.classical import tree as tree_mod
+    monkeypatch.setattr(tree_mod, "SEARCH_ROWS", 40)
+    for name in ("rf_ties", "cart_min_leaf_1"):
+        assert growth_digest(GROWN[name]()) == PINNED_GROWTH[name]
+
+
+def test_forest_has_tree_missing_a_class():
+    forest = GROWN["rf_absent"]()
+    assert any(t.hist[0, 5] == 0 for t in forest.trees)
+    assert all(t.hist[0, 6] == 0 for t in forest.trees)
 
 
 # -------------------------------------------------------------- importance

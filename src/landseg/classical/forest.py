@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..jsondoc import JsonDoc, as_array, doc_field, list_of
+from .params import check_params
 from .tree import DecisionTree, _grow
 
 
@@ -81,6 +82,8 @@ def rf_train(
     seed: int = 0,
     threads: int = 1,
 ) -> RandomForest:
+    check_params(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
+                 mtry=mtry, bootstrap=bootstrap)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from ..jsondoc import JsonDoc, as_array, doc_field, list_of
+from .params import check_params
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -145,6 +146,7 @@ def svm_train(
     max_iter: int = 200_000,
     n_classes: int | None = None,
 ) -> SvmClassifier:
+    check_params(C=C, gamma=gamma, tol=tol, max_iter=max_iter)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:

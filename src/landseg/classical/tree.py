@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..jsondoc import JsonDoc, as_array, doc_field
+from .params import check_params
 
 GAIN_EPS = 1e-12  # integer class counts make true zero gains exact; this
                   # only guards against f64 rounding in the weighted sum
@@ -251,14 +252,10 @@ def cart_train(
     min_leaf: int = 5,
     max_depth: int | None = None,
     n_classes: int | None = None,
-    rng: np.random.Generator | None = None,
-    mtry: int | None = None,
 ) -> DecisionTree:
-    """Grow a CART on a feature table.
-
-    rng/mtry enable the forest's per-split feature subsampling; plain CART
-    considers every feature at every split.
-    """
+    """Grow a CART on a feature table, searching every feature at every
+    split."""
+    check_params(min_leaf=min_leaf, max_depth=max_depth)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
@@ -267,5 +264,5 @@ def cart_train(
         raise ValueError("feature/label row counts differ")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    return _grow(x, y, [np.arange(x.shape[0])], [rng], n_classes,
-                 min_leaf, max_depth, mtry)[0]
+    return _grow(x, y, [np.arange(x.shape[0])], [None], n_classes,
+                 min_leaf, max_depth, None)[0]

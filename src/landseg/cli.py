@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import dump_report, render_table2, table2_experiment
+from .jsondoc import check_object
 from .models import load_model, predict_map, save_model
 from .nn import (
     TrainConfig,
@@ -42,7 +43,7 @@ from .raster import (
     write_raster,
 )
 from .sampling import class_weights, stratified_sample
-from .classical import cart_train, rf_train, svm_train
+from .classical import ParamError, cart_train, rf_train, svm_train
 from .synth import SceneSpec, generate_scene
 from .tiling import SampleSet, TilePlan, extract_tiles, plan_tiles, split_samples
 from .evaluate import argmax_labels, ensemble_average
@@ -74,13 +75,7 @@ def _read_settings(path, what, accepted) -> dict:
     """A JSON object whose keys all lie in `accepted`."""
     _require(path, what)
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} {path}: expected a JSON object, "
-                         f"got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(accepted))
-    if unknown:
-        raise ValueError(f"{what} {path}: unknown key {unknown[0]!r} "
-                         f"(accepted: {', '.join(sorted(accepted))})")
+    check_object(doc, f"{what} {path}", accepted)
     return doc
 
 
@@ -188,12 +183,6 @@ def cmd_tile(args):
 # keys of the tile stage's output document
 PLAN_KEYS = ("plan", "seed", "dropped", "splits")
 
-TABLE3_DEFAULTS = {
-    "cart": {"min_leaf": 5},
-    "rf": {"n_trees": 300, "min_leaf": 5},
-    "svm": {"C": 300.0, "gamma": 0.1, "tol": 1e-3},
-}
-
 
 def cmd_train_pixel(args):
     _require(args.stack, "stack raster")
@@ -202,18 +191,21 @@ def cmd_train_pixel(args):
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
     trainer = {"cart": cart_train, "rf": rf_train, "svm": svm_train}[args.algo]
-    params = dict(TABLE3_DEFAULTS[args.algo])
+    params = {}
     if args.params:
-        # the stage sets these itself, and JSON cannot hold a Generator
+        # the stage sets these itself
         accepted = set(inspect.signature(trainer).parameters) - {
-            "x", "y", "n_classes", "seed", "threads", "rng"}
-        params.update(_read_settings(args.params, "params file", accepted))
+            "x", "y", "n_classes", "seed", "threads"}
+        params = _read_settings(args.params, "params file", accepted)
 
     table = stratified_sample(stack, labels, legend,
                               n_per_class=args.samples, seed=args.seed)
     if args.algo == "rf":
         params.update(seed=args.seed, threads=args.threads)
-    model = trainer(table.x, table.y, n_classes=legend.n_classes, **params)
+    try:
+        model = trainer(table.x, table.y, n_classes=legend.n_classes, **params)
+    except ParamError as exc:
+        raise ValueError(f"params file {args.params}: {exc}") from None
     save_model(model, args.out, band_names=stack.bands)
     _append_manifest(
         args.out, "train-pixel",
@@ -356,8 +348,6 @@ def cmd_evaluate(args):
 
 
 def cmd_experiment(args):
-    if args.protocol != "table2":
-        raise ValueError(f"unknown experiment protocol {args.protocol!r}")
     scene_spec = SceneSpec(width=args.scene_size, height=args.scene_size)
     rep = table2_experiment(
         seed=args.seed,
@@ -367,7 +357,6 @@ def cmd_experiment(args):
         algorithms=tuple(args.algos.split(",")),
         scene_spec=scene_spec,
         n_trees=args.trees,
-        threads=args.threads,
     )
     Path(args.out).write_text(dump_report(rep))
     _append_manifest(
@@ -469,7 +458,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="cart,rf,svm")
     p.add_argument("--trees", type=int, default=300)
     p.add_argument("--scene-size", type=int, default=256)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

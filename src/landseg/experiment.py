@@ -64,8 +64,6 @@ def table2_experiment(
     algorithms=("cart", "rf", "svm"),
     scene_spec: SceneSpec | None = None,
     n_trees: int = 300,
-    min_leaf: int = 5,
-    threads: int = 1,
 ) -> dict:
     """F1 grid over feature combinations; fully deterministic per seed."""
     if scene_spec is None:
@@ -98,15 +96,13 @@ def table2_experiment(
             entry["overall_f1"][algo] = {}
             for band_tag, cols in BAND_SETS.items():
                 if algo == "cart":
-                    model = cart_train(
-                        x_train[:, cols], y_train,
-                        min_leaf=min_leaf, n_classes=k,
-                    )
+                    model = cart_train(x_train[:, cols], y_train,
+                                       n_classes=k)
                 elif algo == "rf":
                     model = rf_train(
                         x_train[:, cols], y_train,
-                        n_trees=n_trees, min_leaf=min_leaf, n_classes=k,
-                        seed=_derived_seed([seed, i, 200]), threads=threads,
+                        n_trees=n_trees, n_classes=k,
+                        seed=_derived_seed([seed, i, 200]),
                     )
                     rf_cache[band_tag] = model
                 elif algo == "svm":
@@ -197,9 +193,12 @@ NET_ARCHS = ("segnet_mini", "unet_mini", "psp_mini")
 # unet gets less width: its 4x bottleneck otherwise memorizes the training
 # scene's exact radiometry and turns brittle under drift
 NET_WIDTHS = {"segnet_mini": 12, "unet_mini": 6, "psp_mini": 12}
+NET_PATCH = 64
+DRIFT_SHIFT = 8.0  # mean class shift of each robustness pair's twin B
+RF_PER_CLASS = 300  # robustness RF training rows per class; as many evaluate
 
 
-def robustness_scene_spec(size: int = 192) -> SceneSpec:
+def robustness_scene_spec() -> SceneSpec:
     """Battery scene with ambiguous terrain and mosaic-like radiometry.
 
     Elevation bands are widened to overlap so classifiers must also lean on
@@ -213,31 +212,31 @@ def robustness_scene_spec(size: int = 192) -> SceneSpec:
     centers = bands.mean(axis=1)
     halves = (bands[:, 1] - bands[:, 0]) / 2 * 1.8
     return SceneSpec(
-        width=size, height=size,
+        width=192, height=192,
         elevation_bands=np.column_stack([centers - halves, centers + halves]),
         terrain_weight=1.8, label_noise=1.5, spectral_noise=7.0,
         radiometric_patchiness=10.0,
     )
 
 
-def _train_scene_networks(stack, labels, legend, seed, patch=64,
-                          widths=NET_WIDTHS, epochs=25, adam_lr=3e-3):
+def _train_scene_networks(stack, labels, legend, seed, epochs):
     """Train the three mini architectures on one scene's tile splits with a
     shared desk-scale Adam config (the paper-assigned optimizers remain the
     train-net defaults elsewhere). The rate is raised so that 25 epochs
     still fit the scene under train()'s spectral jitter. Returns
-    {arch: (net, history)}.
+    ({arch: (net, history)}, plan).
     """
-    plan = plan_tiles(stack.width, stack.height, patch=patch, stride=patch // 2)
+    plan = plan_tiles(stack.width, stack.height, patch=NET_PATCH,
+                      stride=NET_PATCH // 2)
     samples = split_samples(extract_tiles(stack, labels, plan), seed=seed)
     cw = class_weights(labels, legend)
     out = {}
     for arch in NET_ARCHS:
-        cfg = TrainConfig(optimizer="adam", lr=adam_lr, epochs=epochs,
-                          seed=seed, class_weights=cw.weights)
+        cfg = TrainConfig(lr=3e-3, epochs=epochs, seed=seed,
+                          class_weights=cw.weights)
         net = build_network(
             arch, in_ch=stack.n_bands, n_classes=legend.n_classes,
-            width=widths[arch], patch=patch, seed=seed,
+            width=NET_WIDTHS[arch], patch=NET_PATCH, seed=seed,
         )
         net, history = train(net, samples, cfg)
         out[arch] = (net, history)
@@ -247,14 +246,8 @@ def _train_scene_networks(stack, labels, legend, seed, patch=64,
 def robustness_experiment(
     seed: int,
     n_pairs: int = 2,
-    scene_spec: SceneSpec | None = None,
-    spectral_shift: float = 8.0,
-    noise_gain: float = 1.3,
-    n_per_class: int = 300,
     n_trees: int = 300,
-    patch: int = 64,
     epochs: int = 25,
-    threads: int = 1,
     keep_details: bool = False,
 ) -> dict:
     """Train on scene A, evaluate on A and on its shifted twin B; report
@@ -266,13 +259,11 @@ def robustness_experiment(
     cover most of those pixels (1323 of 1500 and 1690 of 1701 on the two
     pairs at seed 2026), so a net's oa_in is close to in-sample accuracy.
     """
-    if scene_spec is None:
-        scene_spec = robustness_scene_spec()
+    scene_spec = robustness_scene_spec()
     legend = scene_spec.legend()
     k = legend.n_classes
     pairs = scene_battery(seed, n_pairs, spec=scene_spec,
-                          spectral_shift=spectral_shift,
-                          noise_gain=noise_gain)
+                          spectral_shift=DRIFT_SHIFT, noise_gain=1.3)
 
     results = []
     details = []
@@ -280,23 +271,22 @@ def robustness_experiment(
         stack_a, labels_a, _ = pair["train"]
         stack_b, labels_b, _ = pair["test"]
         table = stratified_sample(
-            stack_a, labels_a, legend, n_per_class=2 * n_per_class,
+            stack_a, labels_a, legend, n_per_class=2 * RF_PER_CLASS,
             seed=_derived_seed([seed, i, 300]),
         )
-        train_idx, eval_idx = _split_train_eval(table, n_per_class)
+        train_idx, eval_idx = _split_train_eval(table, RF_PER_CLASS)
         pos = table.positions[eval_idx]
         y_eval = table.y[eval_idx]
 
         forest = rf_train(
             table.x[train_idx], table.y[train_idx],
             n_trees=n_trees, n_classes=k,
-            seed=_derived_seed([seed, i, 301]), threads=threads,
+            seed=_derived_seed([seed, i, 301]),
         )
 
         nets, plan = _train_scene_networks(
             stack_a, labels_a, legend,
-            seed=_derived_seed([seed, i, 302]) % (2 ** 31),
-            patch=patch, epochs=epochs,
+            seed=_derived_seed([seed, i, 302]) % (2 ** 31), epochs=epochs,
         )
 
         entry = {"pair": i, "oa_in": {}, "oa_shift": {}, "degradation": {}}
@@ -343,7 +333,7 @@ def robustness_experiment(
         "protocol": "robustness",
         "seed": seed,
         "n_pairs": n_pairs,
-        "spectral_shift": spectral_shift,
+        "spectral_shift": DRIFT_SHIFT,
         "pairs": results,
         "mean_oa_in": {
             m: float(np.mean([r["oa_in"][m] for r in results])) for m in models

@@ -50,7 +50,8 @@ def check_object(doc, name, known):
                          f"got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(known))
     if unknown:
-        raise ValueError(f"{name} document has unknown key {unknown[0]!r}")
+        raise ValueError(f"{name} document has unknown key {unknown[0]!r} "
+                         f"(accepted: {', '.join(sorted(known))})")
 
 
 class JsonDoc:

@@ -17,6 +17,7 @@ from .tiling import TilePlan, stitch_center
 
 FORMAT = "landseg-model"
 VERSION = 1
+PIXEL_CHUNK = 65536  # rows per predict_proba call of a pixel model
 
 _KINDS = {
     "cart": DecisionTree,
@@ -69,7 +70,7 @@ def load_model(path):
     return _KINDS[kind].from_json(doc["model"])
 
 
-def predict_pixels(model, r: Raster, chunk: int = 65536) -> np.ndarray:
+def predict_pixels(model, r: Raster) -> np.ndarray:
     """Class probabilities (K, H, W) float64 for every raster pixel.
 
     They are vote fractions / leaf histograms, not calibrated.
@@ -77,8 +78,9 @@ def predict_pixels(model, r: Raster, chunk: int = 65536) -> np.ndarray:
     n_classes = model.n_classes
     x = r.data.reshape(r.n_bands, -1).T.astype(np.float64)
     probs = np.zeros((x.shape[0], n_classes))
-    for at in range(0, x.shape[0], chunk):
-        probs[at:at + chunk] = model.predict_proba(x[at:at + chunk])
+    for at in range(0, x.shape[0], PIXEL_CHUNK):
+        probs[at:at + PIXEL_CHUNK] = model.predict_proba(
+            x[at:at + PIXEL_CHUNK])
     return probs.T.reshape(n_classes, r.height, r.width)
 
 

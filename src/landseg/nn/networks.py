@@ -176,7 +176,7 @@ class _MiniNet(_ConvParams):
 class SegNetMini(_MiniNet):
     arch = "segnet_mini"
 
-    def __init__(self, in_ch: int, n_classes: int, width: int = 16, patch: int = 64):
+    def __init__(self, in_ch: int, n_classes: int, width: int, patch: int):
         super().__init__(in_ch, n_classes, width, patch)
         w = width
         self.enc1 = Conv2d("enc1", in_ch, w)
@@ -216,7 +216,7 @@ class SegNetMini(_MiniNet):
 class UNetMini(_MiniNet):
     arch = "unet_mini"
 
-    def __init__(self, in_ch: int, n_classes: int, width: int = 16, patch: int = 64):
+    def __init__(self, in_ch: int, n_classes: int, width: int, patch: int):
         super().__init__(in_ch, n_classes, width, patch)
         w = width
         self.enc1 = Conv2d("enc1", in_ch, w)
@@ -263,7 +263,7 @@ class UNetMini(_MiniNet):
 class PspMini(_MiniNet):
     arch = "psp_mini"
 
-    def __init__(self, in_ch: int, n_classes: int, width: int = 16, patch: int = 64):
+    def __init__(self, in_ch: int, n_classes: int, width: int, patch: int):
         super().__init__(in_ch, n_classes, width, patch)
         w = width
         reduced = max(w // 4, 1)

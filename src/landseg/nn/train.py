@@ -19,6 +19,7 @@ from ..tiling import Tile, TilePlan, reflect_pad_to
 JITTER_OFFSET = 1.5
 JITTER_GAIN = 0.15
 _JITTER_STREAM = 1
+PREDICT_BATCH = 8  # tiles per inference forward pass
 
 
 @dataclass
@@ -53,14 +54,11 @@ class TrainConfig:
 
 
 def default_config(arch: str, **overrides) -> TrainConfig:
-    """Paper-assigned optimizers: Adam 1e-5 for segnet/unet, SGD 0.05/0.9
-    for psp."""
+    """Paper-assigned optimizers: TrainConfig's Adam 1e-5 for segnet/unet,
+    SGD 0.05 with its momentum 0.9 for psp."""
     if arch == "psp_mini":
-        base = dict(optimizer="sgd", lr=0.05, momentum=0.9)
-    else:
-        base = dict(optimizer="adam", lr=1e-5)
-    base.update(overrides)
-    return TrainConfig(**base)
+        overrides = {"optimizer": "sgd", "lr": 0.05, **overrides}
+    return TrainConfig(**overrides)
 
 
 def band_stats(tiles):
@@ -206,7 +204,7 @@ def save_history_csv(history, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def predict_tiles(net, r: Raster, plan: TilePlan, batch_size: int = 8):
+def predict_tiles(net, r: Raster, plan: TilePlan):
     """Per-anchor softmax probability patches, ready for stitch_center.
 
     Returns a list of (anchor, probs (patch, patch, K)) in plan order.
@@ -220,8 +218,8 @@ def predict_tiles(net, r: Raster, plan: TilePlan, batch_size: int = 8):
     )
     p = plan.patch
     out = []
-    for at in range(0, len(plan.anchors), batch_size):
-        anchors = plan.anchors[at:at + batch_size]
+    for at in range(0, len(plan.anchors), PREDICT_BATCH):
+        anchors = plan.anchors[at:at + PREDICT_BATCH]
         x = np.stack([data[:, ar:ar + p, ac:ac + p] for ar, ac in anchors])
         probs = net.predict_probs(x)
         for i, anchor in enumerate(anchors):

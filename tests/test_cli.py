@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +378,9 @@ def test_experiment_determinism(tmp_path):
     rep = json.loads(a)
     assert rep["protocol"] == "table2"
     assert set(rep["mean_overall_f1"]) == {"cart", "rf"}
+    # pins the experiment's constants (the trainers' min_leaf among them)
+    assert hashlib.sha256(a).hexdigest() == (
+        "18f3098ebbd9172dadbdc11cc8de578b271dd4172a551ce301e8081a56d41451")
 
 
 def _train_net_with_config(scene_dir, tmp_path, config):
@@ -411,20 +417,125 @@ def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
     assert not (tmp_path / "net.bin").exists()
 
 
+def _train_pixel(scene_dir, tmp_path, algo, params=None):
+    argv = ["train-pixel", "--algo", algo,
+            "--stack", str(scene_dir / "stack"),
+            "--labels", str(scene_dir / "labels"),
+            "--legend", str(scene_dir / "legend.json"),
+            "--samples", "20", "--seed", "3",
+            "--out", str(tmp_path / f"{algo}.json")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv[-2:-2] = ["--params", str(tmp_path / "params.json")]
+    return main(argv)
+
+
+def _assert_rejected(capsys, tmp_path, algo, named):
+    err = capsys.readouterr().err
+    assert "params.json" in err and named in err
+    assert not (tmp_path / f"{algo}.json").exists()
+
+
 @pytest.mark.parametrize("params, named", [
     ({"n_tree": 5}, "'n_tree'"),
     ([1], "JSON object"),
 ])
 def test_train_pixel_rejects_bad_params(scene_dir, tmp_path, capsys, params,
                                         named):
-    (tmp_path / "params.json").write_text(json.dumps(params))
-    rc = main(["train-pixel", "--algo", "rf",
-               "--stack", str(scene_dir / "stack"),
-               "--labels", str(scene_dir / "labels"),
-               "--legend", str(scene_dir / "legend.json"),
-               "--samples", "20", "--params", str(tmp_path / "params.json"),
-               "--out", str(tmp_path / "rf.json")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "params.json" in err and named in err
-    assert not (tmp_path / "rf.json").exists()
+    assert _train_pixel(scene_dir, tmp_path, "rf", params) == 2
+    _assert_rejected(capsys, tmp_path, "rf", named)
+
+
+@pytest.mark.parametrize("algo, params, named", [
+    ("rf", {"n_trees": "5"}, "'n_trees'"),
+    ("rf", {"n_trees": 0}, "'n_trees'"),
+    ("rf", {"n_trees": True}, "'n_trees'"),
+    ("rf", {"min_leaf": 0}, "'min_leaf'"),
+    ("cart", {"min_leaf": 2.5}, "'min_leaf'"),
+    ("rf", {"mtry": 0}, "'mtry'"),
+    ("rf", {"mtry": 1.0}, "'mtry'"),
+    ("svm", {"max_iter": 0}, "'max_iter'"),
+    ("svm", {"max_iter": False}, "'max_iter'"),
+    ("cart", {"max_depth": "3"}, "'max_depth'"),
+    ("cart", {"max_depth": 0}, "'max_depth'"),
+    ("rf", {"max_depth": True}, "'max_depth'"),
+    ("rf", {"bootstrap": 1}, "'bootstrap'"),
+    ("rf", {"bootstrap": None}, "'bootstrap'"),
+    ("svm", {"C": -1}, "'C'"),
+    ("svm", {"C": float("inf")}, "'C'"),
+    ("svm", {"gamma": 0}, "'gamma'"),
+    ("svm", {"gamma": float("nan")}, "'gamma'"),
+    ("svm", {"tol": "1e-3"}, "'tol'"),
+    ("svm", {"tol": True}, "'tol'"),
+    ("cart", {"mtry": 2}, "'mtry'"),
+])
+def test_train_pixel_checks_param_values(scene_dir, tmp_path, capsys, algo,
+                                         params, named):
+    assert _train_pixel(scene_dir, tmp_path, algo, params) == 2
+    _assert_rejected(capsys, tmp_path, algo, named)
+
+
+def _readme_params():
+    """{algo: keys} from README's `train-pixel --params` paragraph."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = text[text.index("`train-pixel --params` takes"):]
+    para = " ".join(para[:para.index("\n\n")].split())
+    return {algo: re.findall(r"`(\w+)`", keys) for algo, keys in
+            re.findall(r"for (cart|rf|svm): ((?:`\w+`(?:, |; |\.))+)", para)}
+
+
+# a valid value of each key, and how the saved model shows it (None: it
+# does not keep the value)
+PARAM_VALUES = {
+    "min_leaf": (3, lambda m: m["min_leaf"]),
+    "max_depth": (2, lambda m: m.get("trees", [m])[0]["max_depth"]),
+    "n_trees": (4, lambda m: len(m["trees"])),
+    "mtry": (2, lambda m: m["mtry"]),
+    "bootstrap": (False, lambda m: any(m["oob_indices"])),
+    "C": (10.0, lambda m: m["C"]),
+    "gamma": (0.5, lambda m: m["gamma"]),
+    "tol": (0.01, lambda m: m["tol"]),
+    "max_iter": (10 ** 6, None),
+}
+
+
+def test_readme_lists_each_algo_params():
+    assert _readme_params() == {
+        "cart": ["min_leaf", "max_depth"],
+        "rf": ["min_leaf", "max_depth", "n_trees", "mtry", "bootstrap"],
+        "svm": ["C", "gamma", "tol", "max_iter"],
+    }
+
+
+@pytest.mark.parametrize("algo, key", [
+    (algo, key) for algo, keys in _readme_params().items() for key in keys])
+def test_train_pixel_takes_documented_param(scene_dir, tmp_path, capsys,
+                                            algo, key):
+    # an unknown key lists what the trainer accepts: the documented keys
+    assert _train_pixel(scene_dir, tmp_path, algo, {"no_such_key": 1}) == 2
+    accepted = capsys.readouterr().err.split("(accepted: ")[1]
+    assert accepted.rstrip(")\n").split(", ") == sorted(
+        _readme_params()[algo])
+
+    value, saved = PARAM_VALUES[key]
+    params = {"n_trees": 4, key: value} if algo == "rf" else {key: value}
+    assert _train_pixel(scene_dir, tmp_path, algo, params) == 0
+    model = json.loads((tmp_path / f"{algo}.json").read_text())["model"]
+    if saved is not None:
+        assert saved(model) == value
+
+
+@pytest.mark.parametrize("algo, digest", [
+    ("cart",
+     "339c062f77d78d7f4467196fbeeb09d566fb746ad37d5b8fce60935c92233ffa"),
+    ("rf", "c8dfc75e5098d5bd4cc53e3a12cf85fc60c163a66ddb4ca734d711f23ac82fc8"),
+    ("svm",
+     "6ac00ca08ab9ee7b99ea9cccb56e43610f4dc11da604376a554c184c1c737307"),
+])
+def test_train_pixel_default_model_is_pinned(scene_dir, tmp_path, algo,
+                                             digest):
+    # the Table 3 defaults live in the trainers' signatures; a changed
+    # default changes these bytes
+    assert _train_pixel(scene_dir, tmp_path, algo) == 0
+    data = (tmp_path / f"{algo}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -205,6 +205,18 @@ def test_rf_deterministic(rng):
     assert a.oob_error == b.oob_error
 
 
+@pytest.mark.parametrize("trainer, params, named", [
+    (cart_train, {"min_leaf": 0}, "'min_leaf'"),
+    (rf_train, {"n_trees": np.float64(3)}, "'n_trees'"),
+    (svm_train, {"tol": -1e-3}, "'tol'"),
+])
+def test_trainers_check_their_params(rng, trainer, params, named):
+    # the rules live in the trainers, so library callers meet them too
+    x, y = blobs(rng, n_per_class=10)
+    with pytest.raises(ValueError, match=named):
+        trainer(x, y, **params)
+
+
 def test_rf_threads_match_single(rng):
     x = rng.random((100, 3))
     y = rng.integers(0, 2, size=100)

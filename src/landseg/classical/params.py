@@ -12,7 +12,11 @@ NULLABLE = ("max_depth", "mtry")  # mtry None: ceil(sqrt(features))
 
 
 class ParamError(ValueError):
-    """A trainer setting of the wrong type or out of range."""
+    """A setting of the wrong type or out of range; key names it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 def _is_number(value, kinds) -> bool:
@@ -40,4 +44,4 @@ def check_params(**params):
             if key in NULLABLE:
                 rule += " or null"
         if not ok:
-            raise ParamError(f"{key!r} must be {rule}, got {value!r}")
+            raise ParamError(key, f"{key!r} must be {rule}, got {value!r}")

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .evaluate import confusion_from, render_table, report as build_report
-from .experiment import dump_report, render_table2, table2_experiment
+from .experiment import (
+    TABLE2_SCENE_SIZE, dump_report, render_table2, table2_experiment,
+)
 from .jsondoc import check_object
 from .models import load_model, predict_map, save_model
 from .nn import (
@@ -230,8 +232,9 @@ def cmd_train_net(args):
         accepted = ({f.name for f in fields(TrainConfig)}
                     | {"width", "class_weighting"})
         overrides = _read_settings(args.config, "train config", accepted)
-    width = overrides.pop("width", 16)
-    use_class_weights = overrides.pop("class_weighting", True)
+    width = overrides.pop("width", NET_DEFAULTS["width"])
+    use_class_weights = overrides.pop("class_weighting",
+                                      NET_DEFAULTS["class_weighting"])
     try:
         if isinstance(width, bool) or not isinstance(width, int) or width < 1:
             raise ValueError(f"'width' must be an integer of at least 1, "
@@ -349,15 +352,16 @@ def cmd_evaluate(args):
 
 def cmd_experiment(args):
     scene_spec = SceneSpec(width=args.scene_size, height=args.scene_size)
-    rep = table2_experiment(
-        seed=args.seed,
-        n_scenes=args.scenes,
-        n_per_class=args.n_per_class,
-        svm_per_class=args.svm_per_class,
-        algorithms=tuple(args.algos.split(",")),
-        scene_spec=scene_spec,
-        n_trees=args.trees,
-    )
+    try:
+        rep = table2_experiment(
+            seed=args.seed,
+            algorithms=tuple(args.algos.split(",")),
+            scene_spec=scene_spec,
+            **{name: getattr(args, name) for name in TABLE2_OPTIONS},
+        )
+    except ParamError as exc:
+        option = TABLE2_OPTIONS.get(exc.key, exc.key)
+        raise ValueError(f"{option}: {exc}") from None
     Path(args.out).write_text(dump_report(rep))
     _append_manifest(
         args.out, "experiment-table2", {}, [args.out], seed=args.seed,
@@ -367,6 +371,17 @@ def cmd_experiment(args):
 
 
 # ------------------------------------------------------------------ parser
+
+# train-net --config keys that are not TrainConfig fields, and their defaults
+NET_DEFAULTS = {
+    "width": inspect.signature(build_network).parameters["width"].default,
+    "class_weighting": True,
+}
+# table2_experiment parameters set by an experiment option of the same name
+TABLE2_OPTIONS = {"n_scenes": "--scenes", "n_per_class": "--n-per-class",
+                  "svm_per_class": "--svm-per-class", "n_trees": "--trees"}
+SHOW_DEFAULT = "default: %(default)s"
+
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -422,8 +437,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--legend", default=None)
     p.add_argument("--plan", required=True, help="tile stage output")
     p.add_argument("--config", default=None,
-                   help="JSON object of TrainConfig fields, width (default "
-                        "16) and class_weighting (default true)")
+                   help="JSON object of TrainConfig fields, " + " and ".join(
+                       f"{key} (default {json.dumps(value)})"
+                       for key, value in NET_DEFAULTS.items()))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="weights path stem")
     p.set_defaults(func=cmd_train_net)
@@ -452,12 +468,15 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="canned multi-stage protocols")
     p.add_argument("protocol", choices=("table2",))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scenes", type=int, default=5)
-    p.add_argument("--n-per-class", type=int, default=300)
-    p.add_argument("--svm-per-class", type=int, default=150)
-    p.add_argument("--algos", default="cart,rf,svm")
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--scene-size", type=int, default=256)
+    table2 = inspect.signature(table2_experiment).parameters
+    for name, option in TABLE2_OPTIONS.items():
+        p.add_argument(option, dest=name, type=int,
+                       metavar=option[2:].upper().replace("-", "_"),
+                       default=table2[name].default, help=SHOW_DEFAULT)
+    p.add_argument("--algos", default=",".join(table2["algorithms"].default),
+                   help=SHOW_DEFAULT)
+    p.add_argument("--scene-size", type=int, default=TABLE2_SCENE_SIZE,
+                   help=SHOW_DEFAULT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import cart_train, permutation_importance, rf_train, svm_train
+from .classical.params import check_params
 from .evaluate import (
     argmax_labels, class_metrics, confusion_from_arrays, ensemble_average,
     overall_accuracy,
@@ -30,6 +31,7 @@ from .tiling import extract_tiles, plan_tiles, split_samples
 FIVE_BAND = list(range(5))
 SEVEN_BAND = list(range(7))
 BAND_SETS = {"5band": FIVE_BAND, "7band": SEVEN_BAND}
+TABLE2_SCENE_SIZE = 256  # width and height of table2's scenes by default
 
 
 def _split_train_eval(table, n_train_per_class):
@@ -65,9 +67,14 @@ def table2_experiment(
     scene_spec: SceneSpec | None = None,
     n_trees: int = 300,
 ) -> dict:
-    """F1 grid over feature combinations; fully deterministic per seed."""
+    """F1 grid over feature combinations; fully deterministic per seed.
+
+    n_scenes and svm_per_class must be integers of at least 1 (ParamError
+    otherwise, before any work).
+    """
+    check_params(n_scenes=n_scenes, svm_per_class=svm_per_class)
     if scene_spec is None:
-        scene_spec = SceneSpec(width=256, height=256)
+        scene_spec = SceneSpec(width=TABLE2_SCENE_SIZE, height=TABLE2_SCENE_SIZE)
     legend = scene_spec.legend()
     names = legend.names
     k = legend.n_classes

@@ -44,12 +44,16 @@ class Conv2d:
         fan_in = self.in_ch * self.ksize * self.ksize
         self.w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=self.w.shape)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y, self._cache = ops.conv2d_forward(x, self.w, self.b, dilation=self.dilation)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Convolve x; with cache false (inference), keep nothing for
+        backward, so no layer's im2col columns outlive its pass."""
+        y, saved = ops.conv2d_forward(x, self.w, self.b, dilation=self.dilation)
+        self._cache = saved if cache else None
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx, dw, db = ops.conv2d_backward(dy, self._cache)
+    def backward(self, dy: np.ndarray, need_dx: bool = True):
+        """Accumulate dw and db; return dx, or None without need_dx."""
+        dx, dw, db = ops.conv2d_backward(dy, self._cache, need_dx=need_dx)
         self.dw += dw
         self.db += db
         return dx
@@ -104,7 +108,7 @@ class PyramidPool(_ConvParams):
     def out_ch(self) -> int:
         return self.in_ch + self.reduced * len(self.bins)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         h, w = x.shape[2], x.shape[3]
         if h % max(self.bins) or w % max(self.bins):
             raise ValueError(
@@ -114,11 +118,11 @@ class PyramidPool(_ConvParams):
         caches = []
         for b, conv in zip(self.bins, self.convs):
             pooled, in_hw = ops.avgpool_to_forward(x, b)
-            reduced = conv.forward(pooled)
+            reduced = conv.forward(pooled, cache)
             parts.append(ops.upsample_to_forward(reduced, (h, w)))
             caches.append((b, in_hw, reduced.shape[2:]))
         y, sizes = ops.concat_forward(parts)
-        self._cache = (caches, sizes)
+        self._cache = (caches, sizes) if cache else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -160,8 +164,9 @@ class _MiniNet(_ConvParams):
                 - self.band_mean[None, :, None, None]) / self.band_std[None, :, None, None]
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities for a batch of tiles."""
-        return ops.softmax_probs(self.forward(x))
+        """Softmax class probabilities for a batch of tiles, from an
+        inference pass that caches nothing."""
+        return ops.softmax_probs(self.forward(x, cache=False))
 
     def config(self) -> dict:
         return {
@@ -186,31 +191,30 @@ class SegNetMini(_MiniNet):
         self.head = Conv2d("head", w, n_classes, ksize=1)
         self.convs = [self.enc1, self.enc2, self.dec1, self.dec2, self.head]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = self._normalize(x)
-        a1, self._r1 = ops.relu_forward(self.enc1.forward(x))
-        p1, self._i1 = ops.maxpool_forward(a1)
-        a2, self._r2 = ops.relu_forward(self.enc2.forward(p1))
-        p2, self._i2 = ops.maxpool_forward(a2)
-        self._hw2 = a2.shape[2:]
-        self._hw1 = a1.shape[2:]
-        u2 = ops.max_unpool(p2, self._i2, self._hw2)
-        b1, self._r3 = ops.relu_forward(self.dec1.forward(u2))
-        u1 = ops.max_unpool(b1, self._i1, self._hw1)
-        b2, self._r4 = ops.relu_forward(self.dec2.forward(u1))
-        return self.head.forward(b2)
+        a1, r1 = ops.relu_forward(self.enc1.forward(x, cache))
+        p1, i1 = ops.maxpool_forward(a1)
+        a2, r2 = ops.relu_forward(self.enc2.forward(p1, cache))
+        p2, i2 = ops.maxpool_forward(a2)
+        u2 = ops.max_unpool(p2, i2, a2.shape[2:])
+        b1, r3 = ops.relu_forward(self.dec1.forward(u2, cache))
+        u1 = ops.max_unpool(b1, i1, a1.shape[2:])
+        b2, r4 = ops.relu_forward(self.dec2.forward(u1, cache))
+        self._saved = (r1, i1, r2, i2, r3, r4) if cache else None
+        return self.head.forward(b2, cache)
 
-    def backward(self, dlogits: np.ndarray):
+    def backward(self, dlogits: np.ndarray) -> None:
+        r1, i1, r2, i2, r3, r4 = self._saved
         d = self.head.backward(dlogits)
-        d = self.dec2.backward(ops.relu_backward(d, self._r4))
-        d = ops.max_unpool_backward(d, self._i1)
-        d = self.dec1.backward(ops.relu_backward(d, self._r3))
-        d = ops.max_unpool_backward(d, self._i2)
-        d = ops.maxpool_backward(d, self._i2)
-        d = self.enc2.backward(ops.relu_backward(d, self._r2))
-        d = ops.maxpool_backward(d, self._i1)
-        d = self.enc1.backward(ops.relu_backward(d, self._r1))
-        return d
+        d = self.dec2.backward(ops.relu_backward(d, r4))
+        d = ops.max_unpool_backward(d, i1)
+        d = self.dec1.backward(ops.relu_backward(d, r3))
+        d = ops.max_unpool_backward(d, i2)
+        d = ops.maxpool_backward(d, i2)
+        d = self.enc2.backward(ops.relu_backward(d, r2))
+        d = ops.maxpool_backward(d, i1)
+        self.enc1.backward(ops.relu_backward(d, r1), need_dx=False)
 
 
 class UNetMini(_MiniNet):
@@ -228,36 +232,37 @@ class UNetMini(_MiniNet):
         self.convs = [self.enc1, self.enc2, self.bott,
                       self.dec1, self.dec2, self.head]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = self._normalize(x)
-        s1, self._r1 = ops.relu_forward(self.enc1.forward(x))
-        p1, self._i1 = ops.maxpool_forward(s1)
-        s2, self._r2 = ops.relu_forward(self.enc2.forward(p1))
-        p2, self._i2 = ops.maxpool_forward(s2)
-        bt, self._r3 = ops.relu_forward(self.bott.forward(p2))
+        s1, r1 = ops.relu_forward(self.enc1.forward(x, cache))
+        p1, i1 = ops.maxpool_forward(s1)
+        s2, r2 = ops.relu_forward(self.enc2.forward(p1, cache))
+        p2, i2 = ops.maxpool_forward(s2)
+        bt, r3 = ops.relu_forward(self.bott.forward(p2, cache))
         up1 = ops.upsample2x_forward(bt)
-        cat1, self._sz1 = ops.concat_forward([s2, up1])
-        a1, self._r4 = ops.relu_forward(self.dec1.forward(cat1))
+        cat1, sz1 = ops.concat_forward([s2, up1])
+        a1, r4 = ops.relu_forward(self.dec1.forward(cat1, cache))
         up2 = ops.upsample2x_forward(a1)
-        cat2, self._sz2 = ops.concat_forward([s1, up2])
-        a2, self._r5 = ops.relu_forward(self.dec2.forward(cat2))
-        return self.head.forward(a2)
+        cat2, sz2 = ops.concat_forward([s1, up2])
+        a2, r5 = ops.relu_forward(self.dec2.forward(cat2, cache))
+        self._saved = (r1, i1, r2, i2, r3, sz1, r4, sz2, r5) if cache else None
+        return self.head.forward(a2, cache)
 
-    def backward(self, dlogits: np.ndarray):
+    def backward(self, dlogits: np.ndarray) -> None:
+        r1, i1, r2, i2, r3, sz1, r4, sz2, r5 = self._saved
         d = self.head.backward(dlogits)
-        d = self.dec2.backward(ops.relu_backward(d, self._r5))
-        ds1, dup2 = ops.concat_backward(d, self._sz2)
+        d = self.dec2.backward(ops.relu_backward(d, r5))
+        ds1, dup2 = ops.concat_backward(d, sz2)
         da1 = ops.upsample2x_backward(dup2)
-        d = self.dec1.backward(ops.relu_backward(da1, self._r4))
-        ds2, dup1 = ops.concat_backward(d, self._sz1)
+        d = self.dec1.backward(ops.relu_backward(da1, r4))
+        ds2, dup1 = ops.concat_backward(d, sz1)
         dbt = ops.upsample2x_backward(dup1)
-        d = self.bott.backward(ops.relu_backward(dbt, self._r3))
-        d = ops.maxpool_backward(d, self._i2)
+        d = self.bott.backward(ops.relu_backward(dbt, r3))
+        d = ops.maxpool_backward(d, i2)
         # s2 and s1 feed both their pool and their skip concat
-        d = self.enc2.backward(ops.relu_backward(d + ds2, self._r2))
-        d = ops.maxpool_backward(d, self._i1)
-        d = self.enc1.backward(ops.relu_backward(d + ds1, self._r1))
-        return d
+        d = self.enc2.backward(ops.relu_backward(d + ds2, r2))
+        d = ops.maxpool_backward(d, i1)
+        self.enc1.backward(ops.relu_backward(d + ds1, r1), need_dx=False)
 
 
 class PspMini(_MiniNet):
@@ -273,19 +278,20 @@ class PspMini(_MiniNet):
         self.head = Conv2d("head", self.pyramid.out_ch, n_classes, ksize=1)
         self.convs = [self.conv1, self.conv2, *self.pyramid.convs, self.head]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = self._normalize(x)
-        a1, self._r1 = ops.relu_forward(self.conv1.forward(x))
-        a2, self._r2 = ops.relu_forward(self.conv2.forward(a1))
-        py = self.pyramid.forward(a2)
-        return self.head.forward(py)
+        a1, r1 = ops.relu_forward(self.conv1.forward(x, cache))
+        a2, r2 = ops.relu_forward(self.conv2.forward(a1, cache))
+        py = self.pyramid.forward(a2, cache)
+        self._saved = (r1, r2) if cache else None
+        return self.head.forward(py, cache)
 
-    def backward(self, dlogits: np.ndarray):
+    def backward(self, dlogits: np.ndarray) -> None:
+        r1, r2 = self._saved
         d = self.head.backward(dlogits)
         d = self.pyramid.backward(d)
-        d = self.conv2.backward(ops.relu_backward(d, self._r2))
-        d = self.conv1.backward(ops.relu_backward(d, self._r1))
-        return d
+        d = self.conv2.backward(ops.relu_backward(d, r2))
+        self.conv1.backward(ops.relu_backward(d, r1), need_dx=False)
 
 
 _ARCHES = {

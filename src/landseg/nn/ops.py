@@ -37,6 +37,21 @@ def _reflect_fold_axis(dpadded: np.ndarray, pad: int, axis: int) -> np.ndarray:
     return out
 
 
+def _reflect_pad_channel_major(x: np.ndarray, pad: int) -> np.ndarray:
+    """np.pad(x, reflect) by pad on both spatial axes, written straight
+    into a (C, N, H + 2*pad, W + 2*pad) buffer."""
+    n, c, h, w = x.shape
+    xp = np.empty((c, n, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    for m in range(1, pad + 1):  # rows, then columns over every row
+        xp[:, :, pad - m] = xp[:, :, pad + m]
+        xp[:, :, pad + h - 1 + m] = xp[:, :, pad + h - 1 - m]
+    for m in range(1, pad + 1):
+        xp[..., pad - m] = xp[..., pad + m]
+        xp[..., pad + w - 1 + m] = xp[..., pad + w - 1 - m]
+    return xp
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int = 1):
     """Cross-correlation with reflect padding; kernel 3x3 or 1x1.
 
@@ -46,10 +61,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int = 
     A 3x3 kernel is one matrix product over channel-major im2col columns
     (Chellapilla, Puri & Simard 2006): ``cols`` is laid out
     (C, k, k, N, H, W), viewed as (C*k*k, N*H*W), and filled from the k*k
-    shifted slices of the reflect-padded input. The product is taken as
-    ``cols.T @ w.T``: these operand orientations make BLAS sum in the same
-    order as a row-major im2col does, and the output keeps its
-    (N, H, W, O) memory order, which later layers' sums depend on.
+    shifted slices of the input, reflect-padded straight into (C, N, Hp, Wp)
+    order. The product is taken as ``w.reshape(O, -1) @ cols`` and written,
+    bias added, into (N, H, W, O) memory order, which later layers' sums
+    depend on. With N*H*W a multiple of 8 (every layer of the nets on
+    patches that are multiples of 16) it has the bits of ``cols.T @ w.T``,
+    the orientation that sums as a row-major im2col does, in up to half
+    the time; other shapes may round differently.
 
     The cache is ``("3x3", cols, w, (N, C, H, W), dilation)`` for 3x3 and
     ``("1x1", x, w)`` for 1x1 kernels. ``bench/tracer.py`` reads the
@@ -63,56 +81,82 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int = 
         raise ValueError("kernels must be 1x1 or 3x3")
     if k == 1:
         y = np.tensordot(x, w[:, :, 0, 0], axes=([1], [1]))  # (N,H,W,O)
-        y = y.transpose(0, 3, 1, 2) + b[None, :, None, None]
+        y = y.transpose(0, 3, 1, 2)
+        y += b[None, :, None, None]
         return y, ("1x1", x, w)
 
     pad = dilation
     if h <= pad or wd <= pad:
         raise ValueError("input too small for reflect padding")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
-    xp = xp.transpose(1, 0, 2, 3)                         # (C,N,Hp,Wp) view
+    xp = _reflect_pad_channel_major(x, pad)
     cols = np.empty((c, k, k, n, h, wd))
     for u in range(k):
         for v in range(k):
             cols[:, u, v] = xp[:, :, u * dilation:u * dilation + h,
                                v * dilation:v * dilation + wd]
     cols = cols.reshape(c * k * k, n * h * wd)
-    wmat = w.reshape(o, c * k * k)
-    y = (cols.T @ wmat.T).reshape(n, h, wd, o).transpose(0, 3, 1, 2)
-    y = y + b[None, :, None, None]
-    return y, ("3x3", cols, w, (n, c, h, wd), dilation)
+    prod = w.reshape(o, c * k * k) @ cols                # (O, N*H*W)
+    y = np.empty((n, h, wd, o))
+    np.add(prod.T.reshape(n, h, wd, o), b, out=y)
+    return y.transpose(0, 3, 1, 2), ("3x3", cols, w, (n, c, h, wd), dilation)
 
 
-def conv2d_backward(dy: np.ndarray, cache):
+def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     """Gradients (dx, dw, db) of conv2d_forward, from its cache.
 
-    For 3x3 kernels dw = dY.T @ cols.T and dcols = w.T @ dY, with dY the
-    (N*H*W, O) gradient matrix, made contiguous so that BLAS takes the
-    same kernel whatever the memory order of dy. The k*k column slices are
-    scatter-added in (C, N, Hp, Wp) order, then folded back over the
-    reflect padding into a contiguous (N, C, H, W) dx.
+    dx is None when need_dx is false (a network's first layer, whose input
+    gradient nobody reads); dw and db come out the same either way.
+
+    For 3x3 kernels dw = dY.T @ cols.T, with dY the (N*H*W, O) gradient
+    matrix, made contiguous so that BLAS takes the same kernel whatever
+    the memory order of dy. dx is built one kernel offset (u, v) at a
+    time, in row-major order: w[:, :, u, v].T @ dY.T, the (C, N*H*W) row
+    slice of the im2col gradient w.T @ dY for that offset, is added into
+    a zeroed (C, N, Hp, Wp) buffer at its shifted window, and the buffer
+    is folded back over the reflect padding into a contiguous
+    (N, C, H, W) dx. The full (C*k*k, N*H*W) gradient is never held. dY
+    is zero-bordered to (N, Hp, Wp) first, so each window's add is one
+    contiguous pass: for finite w the border's entries are zeros and
+    change no value where they land. With N*H*W a multiple of 8 and
+    C >= 2 every element gets the bits and the add order it would get
+    from the full product; other shapes may round differently.
     """
     if cache[0] == "1x1":
         _, x, w = cache
         db = dy.sum(axis=(0, 2, 3))
         dw = np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
-        dx = np.tensordot(dy, w[:, :, 0, 0], axes=([1], [0])).transpose(0, 3, 1, 2)
+        dx = None
+        if need_dx:
+            dx = np.tensordot(dy, w[:, :, 0, 0], axes=([1], [0])).transpose(0, 3, 1, 2)
         return dx, dw, db
 
     _, cols, w, (n, c, h, wd), dilation = cache
     o = w.shape[0]
     k = w.shape[2]
     pad = dilation
-    wmat = w.reshape(o, c * k * k)
-    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, o)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    dy_nhwo = dy.transpose(0, 2, 3, 1)
+    dy_mat = np.ascontiguousarray(dy_nhwo).reshape(n * h * wd, o)
     db = dy.sum(axis=(0, 2, 3))
     dw = (dy_mat.T @ cols.T).reshape(w.shape)
-    dcols = (wmat.T @ dy_mat.T).reshape(c, k, k, n, h, wd)
-    dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad))
+    if not need_dx:
+        return None, dw, db
+    dy_border = np.zeros((n, hp, wp, o))
+    dy_border[:, :h, :wd] = dy_nhwo
+    dy_border = dy_border.reshape(n * hp * wp, o)
+    # (k, k, O, C): each w_uv[u, v].T is (C, O) in Fortran order, the
+    # memory order its rows have in the full product's w.reshape(O, -1).T
+    w_uv = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    size = c * n * hp * wp
+    block = np.empty((c, n * hp * wp))
+    # the last window's border zeros run up to 2 * pad * (wp + 1) past size
+    dxp = np.zeros(size + 2 * pad * (wp + 1))
     for u in range(k):
         for v in range(k):
-            dxp[:, :, u * dilation:u * dilation + h,
-                v * dilation:v * dilation + wd] += dcols[:, u, v]
+            np.matmul(w_uv[u, v].T, dy_border.T, out=block)
+            at = (u * wp + v) * dilation
+            dxp[at:at + size] += block.reshape(-1)
+    dxp = dxp[:size].reshape(c, n, hp, wp)
     dx = _reflect_fold_axis(dxp.transpose(1, 0, 2, 3), pad, axis=2)
     dx = _reflect_fold_axis(dx, pad, axis=3)
     return dx, dw, db
@@ -127,28 +171,53 @@ def relu_backward(dy: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return dy * keep
 
 
+def _cells(a: np.ndarray):
+    """The four stride-2 views of a grid of 2x2 windows over the last two
+    axes, in window row-major order: (0, 0), (0, 1), (1, 0), (1, 1)."""
+    return (a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2],
+            a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2])
+
+
 def maxpool_forward(x: np.ndarray):
     """2x2 max pool; returns (pooled, indices).
 
     indices hold the winning in-window position 0..3 in row-major order,
-    so ties go to the first cell of the window.
+    chosen as np.argmax over the window would: ties go to the first cell,
+    and a NaN wins over every number, the first NaN over later ones. The
+    four window cells are compared as stride-2 views of x, so no copy of
+    x is made; pooled is C-contiguous.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError("maxpool needs even spatial dims")
-    xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    xr = xr.reshape(n, c, h // 2, w // 2, 4)
-    idx = np.argmax(xr, axis=-1)
-    pooled = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    cells = _cells(x)
+    pooled = cells[0].copy()
+    idx = np.zeros(pooled.shape, dtype=np.int8)
+    take = np.empty(pooled.shape, dtype=bool)
+    is_num = np.empty(pooled.shape, dtype=bool)
+    for j, cell in enumerate(cells[1:], start=1):
+        # argmax's rule: move on unless cell <= best; stop at a NaN best
+        np.less_equal(cell, pooled, out=take)
+        np.logical_not(take, out=take)
+        np.equal(pooled, pooled, out=is_num)
+        take &= is_num
+        np.copyto(pooled, cell, where=take)
+        np.copyto(idx, j, where=take)
     return pooled, idx
 
 
+def _scatter_cells(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Zeros of twice values' spatial size, each value at its window's
+    recorded cell; C-contiguous (N, C, 2H, 2W)."""
+    n, c, h2, w2 = values.shape
+    out = np.zeros((n, c, h2 * 2, w2 * 2))
+    for j, cell in enumerate(_cells(out)):
+        np.copyto(cell, values, where=idx == j)
+    return out
+
+
 def maxpool_backward(dpooled: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    n, c, h2, w2 = dpooled.shape
-    dxr = np.zeros((n, c, h2, w2, 4))
-    np.put_along_axis(dxr, idx[..., None], dpooled[..., None], axis=-1)
-    dxr = dxr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return dxr.reshape(n, c, h2 * 2, w2 * 2)
+    return _scatter_cells(dpooled, idx)
 
 
 def max_unpool(pooled: np.ndarray, idx: np.ndarray, out_hw) -> np.ndarray:
@@ -161,18 +230,16 @@ def max_unpool(pooled: np.ndarray, idx: np.ndarray, out_hw) -> np.ndarray:
         )
     if idx.min() < 0 or idx.max() > 3:
         raise ValueError("unpool index out of range")
-    yr = np.zeros((n, c, h2, w2, 4))
-    np.put_along_axis(yr, idx[..., None], pooled[..., None], axis=-1)
-    yr = yr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return yr.reshape(n, c, h2 * 2, w2 * 2)
+    return _scatter_cells(pooled, idx)
 
 
 def max_unpool_backward(dy: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Gather the gradient back from the scattered positions."""
-    n, c, h, w = dy.shape
-    dyr = dy.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    dyr = dyr.reshape(n, c, h // 2, w // 2, 4)
-    return np.take_along_axis(dyr, idx[..., None], axis=-1)[..., 0]
+    cells = _cells(dy)
+    out = cells[0].copy()
+    for j, cell in enumerate(cells[1:], start=1):
+        np.copyto(out, cell, where=idx == j)
+    return out
 
 
 def upsample2x_forward(x: np.ndarray) -> np.ndarray:

@@ -116,7 +116,7 @@ def _eval_loss(net, tiles, weights, batch_size):
     losses, weights_sum = [], []
     for at in range(0, len(tiles), batch_size):
         x, y, valid = _batch_arrays(tiles[at:at + batch_size])
-        logits = net.forward(x)
+        logits = net.forward(x, cache=False)
         loss, _ = ops.weighted_ce_loss(logits, y, weights, valid)
         losses.append(loss)
         weights_sum.append(len(tiles[at:at + batch_size]))

@@ -286,13 +286,21 @@ def write_raster(r: Raster, path_stem) -> None:
 
 
 def read_raster(path_stem) -> Raster:
-    """Inverse of write_raster; rejects truncated or oversized bodies."""
+    """Inverse of write_raster; rejects truncated or oversized bodies and
+    NaN or infinite values at valid pixels (nodata pixels are not checked)."""
     sidecar, raw = read_container(path_stem, _raster_body_size)
     width, height = sidecar["width"], sidecar["height"]
     bands = list(sidecar["bands"])
     n_data = len(bands) * width * height * 4
     data = np.frombuffer(raw[:n_data], dtype="<f4").reshape(len(bands), height, width)
     mask = np.frombuffer(raw[n_data:], dtype=np.uint8).reshape(height, width) != 0
+    if not np.isfinite(data).all():
+        bad = np.argwhere(~np.isfinite(data) & mask)
+        if bad.size:
+            b, row, col = (int(i) for i in bad[0])
+            raise ValueError(
+                f"{path_stem}.bin: non-finite value {data[b, row, col]} in "
+                f"band {b} ({bands[b]!r}) at valid pixel (row {row}, col {col})")
     return Raster(
         width, height, bands, data.copy(), mask,
         origin=sidecar.get("origin", {}),

@@ -139,3 +139,44 @@ def test_tracer_records_forest_layers(tmp_path):
     predict = _traced(tmp_path, "predict.json", "predict", "--model",
                       "rf.json", "--stack", "scene/stack", "--out", "rf")
     assert predict.get("tree.predict.s", 0) > 0
+
+
+def test_tracer_records_net_layers(tmp_path):
+    # a traced benchmark run fails when one of these records no call
+    SceneSpec(width=128, height=128, seed=3).save(tmp_path / "spec.json")
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "scene")]) == 0
+    assert main(["tile", "--stack", str(tmp_path / "scene" / "stack"),
+                 "--labels", str(tmp_path / "scene" / "labels"),
+                 "--patch", "32", "--stride", "32",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    (tmp_path / "cfg.json").write_text(
+        '{"epochs": 1, "width": 4, "batch_size": 4}')
+    calls, counts = {}, {}
+    for arch in ("segnet_mini", "unet_mini"):
+        stages = [
+            ["train-net", "--arch", arch, "--stack", "scene/stack",
+             "--labels", "scene/labels", "--plan", "plan.json",
+             "--config", "cfg.json", "--out", arch],
+            ["predict", "--model", arch, "--stack", "scene/stack",
+             "--plan", "plan.json", "--out", f"{arch}_pred"],
+        ]
+        for argv in stages:
+            spans = f"{argv[0]}_{arch}.json"
+            _traced(tmp_path, spans, *argv)
+            doc = json.loads((tmp_path / spans).read_text())
+            calls[argv[0], arch] = doc["calls"]
+            counts[argv[0], arch] = doc["counts"]
+    for arch in ("segnet_mini", "unet_mini"):
+        train, predict = calls["train-net", arch], calls["predict", arch]
+        for metric in ("ops.conv_fwd.s", "ops.conv_bwd.s", "ops.pool.s",
+                       "ops.loss.s", "optim.step.s"):
+            assert train.get(metric, 0) > 0, (arch, metric)
+        for metric in ("ops.conv_fwd.s", "ops.pool.s"):
+            assert predict.get(metric, 0) > 0, (arch, metric)
+        assert counts["train-net", arch].get("ops.conv_fwd.gflop", 0) > 0
+        assert counts["train-net", arch].get("ops.conv_bwd.gflop", 0) > 0
+        assert counts["predict", arch].get("ops.conv_fwd.gflop", 0) > 0
+    # unet's upsample and concat
+    assert calls["train-net", "unet_mini"].get("ops.resample.s", 0) > 0
+    assert calls["predict", "unet_mini"].get("ops.resample.s", 0) > 0

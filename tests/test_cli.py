@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -6,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landseg import GroundPointSet, read_labels, read_raster, write_raster
+from landseg import (
+    GroundPointSet, Raster, read_labels, read_raster, write_raster,
+)
 from landseg.classical import rf_train, svm_train
 from landseg.cli import main
+from landseg.experiment import TABLE2_SCENE_SIZE, table2_experiment
 from landseg.models import save_model
 from landseg.nn import build_network, save_network
 from landseg.synth import SceneSpec
@@ -348,7 +352,10 @@ def test_predict_names_missing_layers_field(scene_dir, tmp_path, capsys):
 
 def test_train_net_fails_on_nan_input(scene_dir, tmp_path, capsys):
     stack = read_raster(scene_dir / "stack")
-    stack.data[0, 70, :] = np.nan   # inside every tile that covers row 70
+    # inside every tile that covers row 70; at nodata pixels, which
+    # read_raster lets hold any value, so the NaN reaches the net
+    stack.data[0, 70, :] = np.nan
+    stack.valid_mask[70, :] = False
     write_raster(stack, tmp_path / "stack")
     assert main(["tile", "--stack", str(tmp_path / "stack"),
                  "--labels", str(scene_dir / "labels"), "--patch", "64",
@@ -364,6 +371,94 @@ def test_train_net_fails_on_nan_input(scene_dir, tmp_path, capsys):
     assert "epoch 0" in capsys.readouterr().err
     assert not (tmp_path / "net.json").exists()
     assert not (tmp_path / "net.bin").exists()
+
+
+def _non_finite_input(scene_dir, tmp_path, stage, value):
+    """argv of `stage` reading one raster that holds `value` at a valid
+    pixel, with every output under tmp_path / "out"; and that pixel."""
+    stack = read_raster(scene_dir / "stack")
+    row, col = (int(i) for i in np.argwhere(stack.valid_mask)[1000])
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--stride", "32", "--out", str(tmp_path / "plan.json")]) == 0
+    bad = tmp_path / "bad"
+    out = tmp_path / "out"
+    if stage == "ensemble":
+        probs = np.full((3, stack.height, stack.width), 1 / 3, np.float32)
+        probs[2, row, col] = value
+        write_raster(Raster(stack.width, stack.height, ["p0", "p1", "p2"],
+                            probs, stack.valid_mask), bad)
+        return ["ensemble", "--probs", str(bad), str(bad),
+                "--out", str(out / "merged")], (2, row, col)
+    stack.data[4, row, col] = value
+    write_raster(stack, bad)
+    common = ["--stack", str(bad), "--labels", str(scene_dir / "labels")]
+    if stage == "train-pixel":
+        return (["train-pixel", "--algo", "cart", *common, "--samples", "20",
+                 "--out", str(out / "cart.json")], (4, row, col))
+    if stage == "train-net":
+        (tmp_path / "cfg.json").write_text('{"epochs": 1, "width": 4}')
+        return (["train-net", "--arch", "psp_mini", *common,
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out / "net")], (4, row, col))
+    save_network(build_network("segnet_mini", in_ch=7, n_classes=6, width=4,
+                               patch=64), tmp_path / "net")
+    return (["predict", "--model", str(tmp_path / "net"), "--stack", str(bad),
+             "--plan", str(tmp_path / "plan.json"), "--out", str(out / "p")],
+            (4, row, col))
+
+
+@pytest.mark.parametrize("stage, value", [
+    ("predict", np.nan), ("train-net", np.inf), ("train-pixel", np.nan),
+    ("ensemble", -np.inf),
+])
+def test_stage_rejects_non_finite_value_at_valid_pixel(scene_dir, tmp_path,
+                                                       capsys, stage, value):
+    argv, (band, row, col) = _non_finite_input(scene_dir, tmp_path, stage,
+                                               value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad.bin: non-finite value {np.float32(value)} in band {band}" in err
+    assert f"at valid pixel (row {row}, col {col})" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, value, param", [
+    ("--scenes", "0", "n_scenes"), ("--scenes", "-2", "n_scenes"),
+    ("--svm-per-class", "0", "svm_per_class"),
+    ("--svm-per-class", "-1", "svm_per_class"),
+])
+def test_experiment_rejects_bad_counts(tmp_path, capsys, option, value, param):
+    rc = main(["experiment", "table2", "--seed", "1", "--algos", "cart",
+               "--scene-size", "64", option, value,
+               "--out", str(tmp_path / "t2.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{option}: '{param}' must be an integer of at least 1" in err
+    assert not (tmp_path / "t2.json").exists()
+
+
+def test_experiment_help_shows_library_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    params = inspect.signature(table2_experiment).parameters
+    for option, name in [("--scenes SCENES", "n_scenes"),
+                         ("--n-per-class N_PER_CLASS", "n_per_class"),
+                         ("--svm-per-class SVM_PER_CLASS", "svm_per_class"),
+                         ("--trees TREES", "n_trees")]:
+        assert f"{option} default: {params[name].default}" in out
+    assert f"--scene-size SCENE_SIZE default: {TABLE2_SCENE_SIZE}" in out
+    assert "--algos ALGOS default: cart,rf,svm" in out
+
+
+def test_train_net_help_shows_network_width_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["train-net", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    width = inspect.signature(build_network).parameters["width"].default
+    assert f"width (default {width}) and class_weighting (default true)" in out
 
 
 def test_experiment_determinism(tmp_path):

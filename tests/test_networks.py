@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import landseg
 from landseg import (
     LabelRaster,
     Raster,
@@ -431,3 +437,73 @@ def test_predict_tiles_band_mismatch(rng):
                np.ones((64, 64), bool))
     with pytest.raises(ValueError, match="bands"):
         predict_tiles(net, r, plan_tiles(64, 64, patch=64))
+
+
+# SHA-256 of the parameters train() returns (little-endian float64, in
+# manifest order) and of predict_tiles' probability patches (plan order),
+# with single-threaded BLAS, computed before the conv backward, pooling and
+# inference passes were rewritten to copy less. Those rewrites keep every
+# sum in its order, so any change here is a change of trained bits. The
+# jitter is on (spectral band names), and psp_mini's dilation-2 conv is
+# included.
+TRAINED_DIGESTS = {
+    ("segnet_mini", 1, 4): (
+        "4a9c2432ce90fcbf0d95620a108bc4831165893306977abaef409aab74e58a4e",
+        "bb596e68abf491e7ef875d8b63e76b9bf243b32d52a2f075de75ffab08da2062"),
+    ("segnet_mini", 4, 8): (
+        "2ee72a1c8aec7231aba70b6abcd0fb9f1f9a92bc3d77d913a2df3aced4e057c2",
+        "8ab88bdaec1b2c0de7730630f6874725739dd1b104dca3337d06975cffea32d9"),
+    ("unet_mini", 1, 4): (
+        "57ac745d6d6672f3300830c6634f5222e41eb1628b709707ed4e10d4b7428b0f",
+        "70e910ea2c921288f293b16db5c450c86f4c8d57e1cbd20dbbab17478bfc2184"),
+    ("unet_mini", 4, 8): (
+        "3bb4d273f1d1ceecc8d8977ca4724280f027a3ff0bf824fba7fd35037a16278f",
+        "924f7c4a007057d67edb930d3ff7256c7ee5ae6bbd811172de37079e78d775b7"),
+    ("psp_mini", 1, 4): (
+        "e772ef29745de440c96fa6a334619996a9ecdd2260e6c0ae8f4f942f7f4b05e0",
+        "875047bb683e480747f2823d264e7bb3c43121cfccab7c4c4a7ebf860f5e8316"),
+    ("psp_mini", 4, 8): (
+        "8412746ffeaf6230a14643e1bd3134e003cc36c93d26f4dd3a60bb39c260568d",
+        "636c67f0d534e096628b0d17788173b66e44f5fbe39b23b7c058e5c818ee44e5"),
+}
+
+
+def trained_digests(arch, batch, width):
+    rng = np.random.default_rng(1234)
+    bands = SPECTRAL_BANDS[:3] + ["dem"]
+    samples = tiny_samples(rng, bands=bands)
+    net = build_network(arch, in_ch=4, n_classes=3, width=width, patch=32,
+                        seed=7)
+    cfg = TrainConfig(optimizer="adam", lr=1e-3, epochs=2, batch_size=batch,
+                      seed=3)
+    net, _ = train(net, samples, cfg)
+    weights = b"".join(p.astype("<f8").tobytes() for p in net.param_arrays())
+    data = np.random.default_rng(5).random((4, 64, 96)).astype(np.float32)
+    r = Raster(96, 64, list(bands), data, np.ones((64, 96), bool))
+    probs = predict_tiles(net, r, plan_tiles(96, 64, patch=32, stride=16))
+    probs = b"".join(p.astype("<f8").tobytes() for _, p in probs)
+    return (hashlib.sha256(weights).hexdigest(),
+            hashlib.sha256(probs).hexdigest())
+
+
+@pytest.fixture(scope="module")
+def single_thread_digests():
+    """trained_digests of every pinned case, from a child process whose
+    BLAS runs one thread: with two, unet_mini at width 8 trains to other
+    (equally reproducible) bits."""
+    code = ("import json, test_networks as t; print(json.dumps("
+            "[[k, t.trained_digests(*k)] for k in t.TRAINED_DIGESTS]))")
+    path = [str(Path(__file__).parent), str(Path(landseg.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return {tuple(k): tuple(v) for k, v in json.loads(done.stdout)}
+
+
+@pytest.mark.parametrize("arch, batch, width", sorted(TRAINED_DIGESTS))
+def test_train_matches_pinned_digest(single_thread_digests, arch, batch,
+                                     width):
+    key = (arch, batch, width)
+    assert single_thread_digests[key] == TRAINED_DIGESTS[key]

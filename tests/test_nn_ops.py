@@ -161,6 +161,65 @@ def test_conv3x3_matches_shifted_slice_reference(rng, shape):
         assert_close(got, ref)
 
 
+def reference_conv3x3_dx(dy, cache):
+    """dx as one (C*k*k, N*H*W) product, scatter-added window by window:
+    the backward that the per-offset, zero-bordered one replaced."""
+    _, _, w, (n, c, h, wd), d = cache
+    o = w.shape[0]
+    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, o)
+    dcols = (w.reshape(o, -1).T @ dy_mat.T).reshape(c, 3, 3, n, h, wd)
+    dxp = np.zeros((c, n, h + 2 * d, wd + 2 * d))
+    for u in range(3):
+        for v in range(3):
+            dxp[:, :, u * d:u * d + h, v * d:v * d + wd] += dcols[:, u, v]
+    dxp = dxp.transpose(1, 0, 2, 3)
+    dx = dxp[:, :, d:d + h].copy()
+    for m in range(d):
+        dx[:, :, d - m] += dxp[:, :, m]
+        dx[:, :, h - 2 - m] += dxp[:, :, d + h + m]
+    out = dx[..., d:d + wd].copy()
+    for m in range(d):
+        out[..., d - m] += dx[..., m]
+        out[..., wd - 2 - m] += dx[..., d + wd + m]
+    return out
+
+
+# Bit equality with the full product holds when N*H*W is a multiple of 8
+# and C >= 2: every 3x3 layer of the nets on patches that are multiples of
+# 16, at any batch size. Other shapes may round differently.
+@pytest.mark.parametrize("shape", NET_MAP_LAYERS + [
+    (1, 8, 16, 64, 64, 1), (8, 48, 16, 16, 16, 1), (1, 12, 12, 16, 16, 2),
+    (3, 5, 7, 8, 8, 1), (2, 37, 61, 12, 6, 2), (8, 2, 33, 5, 5, 1)])
+def test_conv3x3_dx_bits_equal_full_product_reference(rng, shape):
+    n, c, o, h, wd, dilation = shape
+    x = rng.standard_normal((n, c, h, wd))
+    w = rng.standard_normal((o, c, 3, 3))
+    # (N, H, W, O) memory order and exact zeros, as after a ReLU backward
+    dy = rng.standard_normal((n, h, wd, o)) * (rng.random((n, h, wd, o)) < 0.6)
+    dy = dy.transpose(0, 3, 1, 2)
+    _, cache = ops.conv2d_forward(x, w, np.zeros(o), dilation=dilation)
+    dx, _, _ = ops.conv2d_backward(dy, cache)
+    ref = reference_conv3x3_dx(dy, cache)
+    assert dx.flags.c_contiguous
+    assert dx.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", NET_MAP_LAYERS + [(1, 2, 3, 5, 4, 1),
+                                                    (2, 4, 3, 6, 6, 2)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_backward_without_dx_keeps_dw_db_bits(rng, shape, k):
+    n, c, o, h, wd, dilation = shape
+    x = rng.standard_normal((n, c, h, wd))
+    w = rng.standard_normal((o, c, k, k))
+    dy = rng.standard_normal((n, o, h, wd))
+    _, cache = ops.conv2d_forward(x, w, np.zeros(o), dilation=dilation)
+    dx, dw, db = ops.conv2d_backward(dy, cache)
+    none, dw_only, db_only = ops.conv2d_backward(dy, cache, need_dx=False)
+    assert dx.shape == x.shape and none is None
+    assert dw_only.tobytes() == dw.tobytes()
+    assert db_only.tobytes() == db.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 3), o=st.integers(1, 3),
        dilation=st.integers(1, 2), h_extra=st.integers(1, 4),
@@ -290,6 +349,82 @@ def test_unpool_gradient(rng):
         return [ops.max_unpool_backward(proj, idx)]
 
     check_with_projection(forward, backward, [pooled], rng)
+
+
+# The 6-D reshape versions the strided-slice pool and unpool ops replaced:
+# each window's four cells gathered on a last axis of length 4.
+
+def _windows(x):
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return xr.reshape(n, c, h // 2, w // 2, 4)
+
+
+def _unwindow(xr):
+    n, c, h2, w2, _ = xr.shape
+    xr = xr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return xr.reshape(n, c, h2 * 2, w2 * 2)
+
+
+def reference_maxpool(x):
+    xr = _windows(x)
+    idx = np.argmax(xr, axis=-1)
+    return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_scatter(values, idx):
+    """maxpool_backward and max_unpool of the reshape versions."""
+    out = np.zeros(values.shape + (4,))
+    np.put_along_axis(out, idx[..., None], values[..., None], axis=-1)
+    return _unwindow(out)
+
+
+def reference_unpool_backward(dy, idx):
+    return np.take_along_axis(_windows(dy), idx[..., None], axis=-1)[..., 0]
+
+
+def pool_input(rng, kind, shape):
+    if kind == "random":
+        return rng.standard_normal(shape)
+    if kind == "ties":
+        # few distinct values, signed zeros among them, as after a ReLU
+        x = rng.integers(-1, 2, size=shape).astype(np.float64)
+        return np.where(rng.random(shape) < 0.5, x * 0.0, x)
+    x = rng.integers(-1, 2, size=shape).astype(np.float64)
+    for value, share in ((np.nan, 0.3), (np.inf, 0.1), (-np.inf, 0.1)):
+        x[rng.random(shape) < share] = value
+    return x
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 6, 4), (4, 8, 16, 16),
+                                   (3, 2, 10, 14)])
+def test_pool_ops_equal_reshape_reference(rng, kind, shape):
+    """Same bits, same winners (np.argmax's: first maximum, and the first
+    NaN over any number), C-contiguous outputs."""
+    x = pool_input(rng, kind, shape)
+    pooled, idx = ops.maxpool_forward(x)
+    ref_pooled, ref_idx = reference_maxpool(x)
+    assert pooled.tobytes() == ref_pooled.tobytes()
+    assert np.array_equal(idx, ref_idx)
+    grad = rng.standard_normal(pooled.shape)
+    dy = rng.standard_normal(shape)
+    outputs = [
+        (ops.maxpool_backward(grad, idx), reference_scatter(grad, ref_idx)),
+        (ops.max_unpool(pooled, idx, shape[2:]),
+         reference_scatter(ref_pooled, ref_idx)),
+        (ops.max_unpool_backward(dy, idx),
+         reference_unpool_backward(dy, ref_idx)),
+    ]
+    for got, ref in [(pooled, ref_pooled)] + outputs:
+        assert got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_maxpool_first_nan_wins():
+    x = np.array([[1.0, np.nan], [np.nan, 5.0]]).reshape(1, 1, 2, 2)
+    pooled, idx = ops.maxpool_forward(x)
+    assert idx[0, 0, 0, 0] == 1 and np.isnan(pooled[0, 0, 0, 0])
 
 
 # ------------------------------------------------- upsample / concat / avg

@@ -141,3 +141,19 @@ def test_ground_points_round_trip(tmp_path):
     back.validate(width=5, height=5, legend=default_legend(6))
     with pytest.raises(ValueError, match="out of bounds"):
         back.validate(width=4, height=4, legend=default_legend(6))
+
+
+def test_read_raster_names_first_non_finite_valid_pixel(tmp_path):
+    data = np.zeros((2, 3, 4), np.float32)
+    mask = np.ones((3, 4), bool)
+    data[0, 0, 0] = np.nan          # nodata pixels may hold anything
+    mask[0, 0] = False
+    data[1, 2, 1] = np.inf
+    data[1, 1, 3] = np.nan
+    write_raster(Raster(4, 3, ["a", "b"], data, mask), tmp_path / "r")
+    with pytest.raises(ValueError, match=r"r\.bin: non-finite value nan in "
+                       r"band 1 \('b'\) at valid pixel \(row 1, col 3\)"):
+        read_raster(tmp_path / "r")
+    data[1] = 0.0
+    write_raster(Raster(4, 3, ["a", "b"], data, mask), tmp_path / "r")
+    assert np.isnan(read_raster(tmp_path / "r").data[0, 0, 0])

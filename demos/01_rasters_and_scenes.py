@@ -15,8 +15,8 @@ from landseg import (
 # A legend maps class ids to names and display colors. The default carries
 # seven classes; synthetic scenes use the first six.
 legend = default_legend(6)
-for cid, name, color in legend.entries:
-    print(f"  class {cid}: {name:<20} rgb{color}")
+for c in legend.classes:
+    print(f"  class {c.id}: {c.name:<20} rgb{c.color}")
 
 # Scenes are fully determined by their spec: terrain from seeded midpoint
 # displacement, labels from elevation/slope preferences, spectra from

@@ -13,6 +13,7 @@ from .raster import (
     ClassLegend,
     GroundPointSet,
     LabelRaster,
+    LegendClass,
     NODATA_ID,
     Raster,
     SPECTRAL_BANDS,

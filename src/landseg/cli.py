@@ -47,7 +47,7 @@ from .raster import (
 from .sampling import class_weights, stratified_sample
 from .classical import ParamError, cart_train, rf_train, svm_train
 from .synth import SceneSpec, generate_scene
-from .tiling import SampleSet, TilePlan, extract_tiles, plan_tiles, split_samples
+from .tiling import TileSplit, extract_tiles, plan_tiles, split_samples
 from .evaluate import argmax_labels, ensemble_average
 
 
@@ -85,10 +85,7 @@ def _load_legend(path) -> ClassLegend:
     if path is None:
         return default_legend(6)
     _require(path, "legend")
-    try:
-        return ClassLegend.load(path)
-    except ValueError as exc:
-        raise ValueError(f"legend {path}: {exc}") from None
+    return ClassLegend.load(path)
 
 
 def _prob_raster(probs: np.ndarray, mask: np.ndarray) -> Raster:
@@ -161,29 +158,16 @@ def cmd_tile(args):
     plan = plan_tiles(stack.width, stack.height,
                       patch=args.patch, stride=args.stride)
     samples = split_samples(extract_tiles(stack, labels, plan), seed=args.seed)
-    doc = {
-        "plan": plan.to_json(),
-        "seed": args.seed,
-        "dropped": samples.dropped,
-        "splits": {
-            tag: [list(t.anchor) for t, s in
-                  zip(samples.tiles, samples.split_tags) if s == tag]
-            for tag in ("train", "val", "test")
-        },
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    split = TileSplit.of(plan, samples)
+    split.save(args.out)
     _append_manifest(
         args.out, "tile", {"stack": args.stack, "labels": args.labels},
         [args.out], seed=args.seed,
     )
-    counts = {t: len(doc["splits"][t]) for t in doc["splits"]}
+    counts = {tag: len(anchors) for tag, anchors in split.splits.items()}
     print(f"{len(plan.anchors)} anchors, dropped {samples.dropped}, "
           f"splits {counts} -> {args.out}")
     return 0
-
-
-# keys of the tile stage's output document
-PLAN_KEYS = ("plan", "seed", "dropped", "splits")
 
 
 def cmd_train_pixel(args):
@@ -224,8 +208,8 @@ def cmd_train_net(args):
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
-    doc = _read_settings(args.plan, "tile plan", PLAN_KEYS)
-    plan = TilePlan.from_json(doc["plan"])
+    _require(args.plan, "tile plan")
+    split = TileSplit.load(args.plan)
 
     overrides = {}
     if args.config:
@@ -252,22 +236,11 @@ def cmd_train_net(args):
     if use_class_weights and cfg.class_weights is None:
         cfg = replace(cfg, class_weights=class_weights(labels, legend).weights)
 
-    extracted = extract_tiles(stack, labels, plan)
-    split_of = {}
-    for tag, anchors in doc["splits"].items():
-        for anchor in anchors:
-            split_of[tuple(anchor)] = tag
-    tags = [split_of.get(t.anchor, "test") for t in extracted.tiles]
-    samples = SampleSet(
-        tiles=extracted.tiles, band_names=extracted.band_names,
-        seed=doc["seed"], split_tags=tags, dropped=extracted.dropped,
-    )
-
     net = build_network(
         args.arch, in_ch=stack.n_bands, n_classes=legend.n_classes,
-        width=width, patch=plan.patch, seed=cfg.seed,
+        width=width, patch=split.plan.patch, seed=cfg.seed,
     )
-    net, history = train(net, samples, cfg)
+    net, history = train(net, split.samples(stack, labels), cfg)
     save_network(net, args.out)
     save_history_csv(history, str(args.out) + "_loss.csv")
     _append_manifest(
@@ -290,8 +263,8 @@ def cmd_predict(args):
     model = load_model(args.model)
     plan = None
     if args.plan is not None:
-        doc = _read_settings(args.plan, "tile plan", PLAN_KEYS)
-        plan = TilePlan.from_json(doc["plan"])
+        _require(args.plan, "tile plan")
+        plan = TileSplit.load(args.plan).plan
     label_map, probs = predict_map(model, stack, plan)
     write_labels(label_map, str(args.out) + "_labels")
     write_raster(_prob_raster(probs, stack.valid_mask),
@@ -410,7 +383,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="plan tiles and split train/val/test")
     p.add_argument("--stack", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--patch", type=int, default=256)
+    p.add_argument("--patch", type=int, help=SHOW_DEFAULT, default=(
+        inspect.signature(plan_tiles).parameters["patch"].default))
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -421,8 +395,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--legend", default=None)
-    p.add_argument("--samples", type=int, default=2000,
-                   help="stratified sample size per class")
+    p.add_argument("--samples", type=int, default=inspect.signature(
+                       stratified_sample).parameters["n_per_class"].default,
+                   help="stratified sample size per class, " + SHOW_DEFAULT)
     p.add_argument("--params", default=None, help="JSON param overrides")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)

@@ -34,12 +34,12 @@ BAND_SETS = {"5band": FIVE_BAND, "7band": SEVEN_BAND}
 TABLE2_SCENE_SIZE = 256  # width and height of table2's scenes by default
 
 
-def _split_train_eval(table, n_train_per_class):
-    """Per class, first n rows train, the rest evaluate (rows are drawn
-    without replacement, so the halves are disjoint)."""
+def _split_train_eval(y, n_train_per_class):
+    """Per class of the labels y, first n rows train, the rest evaluate
+    (rows are drawn without replacement, so the halves are disjoint)."""
     train_idx, eval_idx = [], []
-    for cid in np.unique(table.y):
-        rows = np.flatnonzero(table.y == cid)
+    for cid in np.unique(y):
+        rows = np.flatnonzero(y == cid)
         train_idx.append(rows[:n_train_per_class])
         eval_idx.append(rows[n_train_per_class:])
     return np.concatenate(train_idx), np.concatenate(eval_idx)
@@ -88,7 +88,7 @@ def table2_experiment(
             stack, labels, legend, n_per_class=2 * n_per_class,
             seed=_derived_seed([seed, i, 100]),
         )
-        train_idx, eval_idx = _split_train_eval(table, n_per_class)
+        train_idx, eval_idx = _split_train_eval(table.y, n_per_class)
         x_train, y_train = table.x[train_idx], table.y[train_idx]
         x_eval, y_eval = table.x[eval_idx], table.y[eval_idx]
 
@@ -113,12 +113,7 @@ def table2_experiment(
                     )
                     rf_cache[band_tag] = model
                 elif algo == "svm":
-                    sub, _ = _split_train_eval(
-                        type(table)(
-                            x=x_train, y=y_train, band_names=table.band_names
-                        ),
-                        svm_per_class,
-                    )
+                    sub, _ = _split_train_eval(y_train, svm_per_class)
                     model = svm_train(
                         x_train[sub][:, cols], y_train[sub], n_classes=k,
                     )
@@ -265,6 +260,8 @@ def robustness_experiment(
     A's train tiles and select epochs on its val tiles, which together
     cover most of those pixels (1323 of 1500 and 1690 of 1701 on the two
     pairs at seed 2026), so a net's oa_in is close to in-sample accuracy.
+    With keep_details, returns (report, details): per pair,
+    {"probs_in": {model: scene A probability map}}.
     """
     scene_spec = robustness_scene_spec()
     legend = scene_spec.legend()
@@ -281,7 +278,7 @@ def robustness_experiment(
             stack_a, labels_a, legend, n_per_class=2 * RF_PER_CLASS,
             seed=_derived_seed([seed, i, 300]),
         )
-        train_idx, eval_idx = _split_train_eval(table, RF_PER_CLASS)
+        train_idx, eval_idx = _split_train_eval(table.y, RF_PER_CLASS)
         pos = table.positions[eval_idx]
         y_eval = table.y[eval_idx]
 
@@ -297,7 +294,6 @@ def robustness_experiment(
         )
 
         entry = {"pair": i, "oa_in": {}, "oa_shift": {}, "degradation": {}}
-        pair_detail = {"probs_in": {}, "probs_shift": {}, "nets": nets}
 
         def eval_positions(pred_labels):
             pred = pred_labels.labels[pos[:, 0], pos[:, 1]]
@@ -310,7 +306,6 @@ def robustness_experiment(
             cm = confusion_from_arrays(y_eval, rf_pred, k)
             entry[tag]["rf"] = overall_accuracy(cm)
 
-        probs_by_scene = {}
         for scene_tag, stack in (("in", stack_a), ("shift", stack_b)):
             oa_tag = f"oa_{scene_tag}"
             probs = {}
@@ -321,19 +316,14 @@ def robustness_experiment(
             merged = ensemble_average([probs[a] for a in NET_ARCHS])
             entry[oa_tag]["merged"] = eval_positions(argmax_labels(merged))
             probs["merged"] = merged
-            probs_by_scene[scene_tag] = probs
+            if scene_tag == "in" and keep_details:
+                details.append({"probs_in": probs})
 
         for model in list(entry["oa_in"]):
             entry["degradation"][model] = (
                 entry["oa_in"][model] - entry["oa_shift"][model]
             )
         results.append(entry)
-        if keep_details:
-            pair_detail["probs_in"] = probs_by_scene["in"]
-            pair_detail["probs_shift"] = probs_by_scene["shift"]
-            pair_detail["eval_positions"] = pos
-            pair_detail["y_eval"] = y_eval
-            details.append(pair_detail)
 
     models = list(results[0]["oa_in"])
     report = {

@@ -2,19 +2,27 @@
 
 Fields are written in declaration order, arrays and tuples as lists and
 nested documents as objects. Reading types a field through the decoder in
-its `doc_field` metadata. A document must hold every field, unless its
-class sets `partial`: then a field left out keeps its default.
+its `doc_field` metadata. A field may be null only if its annotation
+allows None or its default is None. A field annotated int, float, bool or
+str must hold a JSON value of that type (a bool is not a number, and a
+float field accepts an int). A document must hold every
+field, unless its class sets `partial`: then a field left out keeps its
+default.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import MISSING, field, fields
 from pathlib import Path
 
 import numpy as np
 
 _DECODE = "jsondoc.decode"
+# JSON value types of the scalar annotations, and their names in messages
+_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+            "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
 def doc_field(decode, **kwargs):
@@ -28,9 +36,13 @@ def as_array(dtype):
     return lambda value: np.asarray(value, dtype=dtype)
 
 
-def list_of(decode):
-    """Decoder of a JSON list, item by item."""
-    return lambda value: [decode(v) for v in value]
+def list_of(decode=None, into=list):
+    """Decoder of a JSON list into `into`, item by item through decode."""
+    def read(value):
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {type(value).__name__}")
+        return into(value if decode is None else map(decode, value))
+    return read
 
 
 def _encode(value):
@@ -40,6 +52,8 @@ def _encode(value):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
     return value
 
 
@@ -52,6 +66,23 @@ def check_object(doc, name, known):
     if unknown:
         raise ValueError(f"{name} document has unknown key {unknown[0]!r} "
                          f"(accepted: {', '.join(sorted(known))})")
+
+
+def _check_type(name, f, value):
+    """Raise ValueError unless value is null only where f may be null (its
+    annotation allows None or its default is None), and fits f's type if
+    that is int, float, bool or str."""
+    base, *rest = str(f.type).split(" | ")  # a postponed annotation
+    if value is None:
+        if rest == ["None"] or f.default is None:
+            return
+        raise ValueError(f"{name} {f.name!r} may not be null")
+    if base in _SCALARS:
+        types, what = _SCALARS[base]
+        if isinstance(value, bool) != (base == "bool") or not isinstance(
+                value, types):
+            raise ValueError(f"{name} {f.name!r} must be {what}, "
+                             f"got {reprlib.repr(value)}")
 
 
 class JsonDoc:
@@ -72,9 +103,12 @@ class JsonDoc:
             if f.name not in doc:
                 if not cls.partial or (f.default is MISSING
                                        and f.default_factory is MISSING):
-                    raise ValueError(f"{name} document has no {f.name!r}")
+                    kind = "list" if f.type in ("list", "tuple") else "value"
+                    raise ValueError(f"{name} document has no {f.name!r} "
+                                     f"field (a {f.name!r} {kind} is required)")
                 continue
             value = doc[f.name]
+            _check_type(name, f, value)
             decode = f.metadata.get(_DECODE)
             if decode is not None and value is not None:
                 try:
@@ -82,11 +116,18 @@ class JsonDoc:
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{name} {f.name!r}: {exc}") from None
             kwargs[f.name] = value
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(json.loads(Path(path).read_text()))
+        """from_json of the file at path; an error names the file."""
+        try:
+            return cls.from_json(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -67,7 +67,10 @@ def load_model(path):
     kind = doc["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _KINDS[kind].from_json(doc["model"])
+    try:
+        return _KINDS[kind].from_json(doc["model"])
+    except ValueError as exc:
+        raise ValueError(f"{doc_path}: {exc}") from None
 
 
 def predict_pixels(model, r: Raster) -> np.ndarray:

@@ -14,9 +14,14 @@ stored with the weights and applied in every forward pass.
 
 from __future__ import annotations
 
+import math
+import reprlib
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import ops
+from ..jsondoc import JsonDoc, as_array, doc_field, list_of
 from ..raster import read_container, write_container
 
 ARCH_TAGS = ("segnet_mini", "unet_mini", "psp_mini")
@@ -137,7 +142,7 @@ class PyramidPool(_ConvParams):
 
 
 class _MiniNet(_ConvParams):
-    """Shared plumbing: band normalization, softmax, config."""
+    """Shared plumbing: band normalization and softmax."""
 
     arch = ""
 
@@ -167,15 +172,6 @@ class _MiniNet(_ConvParams):
         """Softmax class probabilities for a batch of tiles, from an
         inference pass that caches nothing."""
         return ops.softmax_probs(self.forward(x, cache=False))
-
-    def config(self) -> dict:
-        return {
-            "arch": self.arch,
-            "in_ch": self.in_ch,
-            "n_classes": self.n_classes,
-            "width": self.width,
-            "patch": self.patch,
-        }
 
 
 class SegNetMini(_MiniNet):
@@ -310,48 +306,85 @@ def build_network(tag: str, in_ch: int = 7, n_classes: int = 6,
     return net
 
 
+@dataclass
+class LayerEntry(JsonDoc):
+    """Name and shape of one parameter array of the weights blob."""
+
+    name: str
+    shape: list = doc_field(list_of())
+
+    def __post_init__(self):
+        if not all(type(n) is int and n >= 0 for n in self.shape):
+            raise ValueError(f"'shape' of {self.name!r} must hold integers "
+                             f"of at least 0, got {reprlib.repr(self.shape)}")
+
+
+@dataclass
+class WeightsManifest(JsonDoc):
+    """Header of a weights container: the network's constructor arguments,
+    its band normalization and, in blob order, its parameter arrays."""
+
+    format: str
+    version: int
+    arch: str
+    in_ch: int
+    n_classes: int
+    width: int
+    patch: int
+    band_mean: np.ndarray = doc_field(as_array(np.float64))
+    band_std: np.ndarray = doc_field(as_array(np.float64))
+    layers: list = doc_field(list_of(LayerEntry.from_json))
+
+    def __post_init__(self):
+        if self.format != WEIGHTS_FORMAT:
+            raise ValueError(f"not a {WEIGHTS_FORMAT} manifest")
+        if self.version != WEIGHTS_VERSION:
+            raise ValueError(f"unsupported weights version {self.version!r} "
+                             f"(expected {WEIGHTS_VERSION})")
+        if self.arch not in ARCH_TAGS:
+            raise ValueError(f"unknown 'arch' {self.arch!r}; expected one "
+                             f"of {ARCH_TAGS}")
+        for key in ("in_ch", "n_classes", "width", "patch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key!r} must be at least 1, "
+                                 f"got {getattr(self, key)}")
+
+    @classmethod
+    def of(cls, net) -> "WeightsManifest":
+        return cls(WEIGHTS_FORMAT, WEIGHTS_VERSION, net.arch, net.in_ch,
+                   net.n_classes, net.width, net.patch, net.band_mean,
+                   net.band_std, [LayerEntry(n, list(p.shape))
+                                  for n, p in net.params()])
+
+    @property
+    def blob_size(self) -> int:
+        return sum(math.prod(entry.shape) for entry in self.layers) * 8
+
+
 def save_network(net, path_stem) -> None:
     """JSON manifest plus little-endian float64 blob in manifest order."""
-    manifest = {
-        "format": WEIGHTS_FORMAT,
-        "version": WEIGHTS_VERSION,
-        **net.config(),
-        "band_mean": net.band_mean.tolist(),
-        "band_std": net.band_std.tolist(),
-        "layers": [{"name": n, "shape": list(p.shape)} for n, p in net.params()],
-    }
     blob = b"".join(p.astype("<f8").tobytes() for _, p in net.params())
-    write_container(path_stem, manifest, blob)
-
-
-def _weights_blob_size(manifest: dict) -> int:
-    if manifest.get("format") != WEIGHTS_FORMAT:
-        raise ValueError(f"not a {WEIGHTS_FORMAT} manifest")
-    if manifest.get("version") != WEIGHTS_VERSION:
-        raise ValueError(
-            f"unsupported weights version {manifest.get('version')!r} "
-            f"(expected {WEIGHTS_VERSION})"
-        )
-    if "layers" not in manifest:
-        raise ValueError("weights manifest has no 'layers' field")
-    return sum(int(np.prod(e["shape"])) * 8 for e in manifest["layers"])
+    write_container(path_stem, WeightsManifest.of(net).to_json(), blob)
 
 
 def load_network(path_stem):
-    manifest, raw = read_container(path_stem, _weights_blob_size)
-    net = _ARCHES[manifest["arch"]](
-        manifest["in_ch"], manifest["n_classes"],
-        width=manifest["width"], patch=manifest["patch"],
-    )
-    net.set_band_norm(
-        np.asarray(manifest["band_mean"]), np.asarray(manifest["band_std"])
-    )
-    at = 0
-    for entry, (name, p) in zip(manifest["layers"], net.params()):
-        if entry["name"] != name or list(p.shape) != entry["shape"]:
-            raise ValueError(f"weights manifest does not match architecture at {name}")
-        n_bytes = int(np.prod(entry["shape"])) * 8
-        vals = np.frombuffer(raw[at:at + n_bytes], dtype="<f8")
-        p[...] = vals.reshape(entry["shape"])
-        at += n_bytes
+    m, raw = read_container(path_stem, lambda m: m.blob_size,
+                            decode=WeightsManifest.from_json)
+    try:
+        net = _ARCHES[m.arch](m.in_ch, m.n_classes, width=m.width,
+                              patch=m.patch)
+        net.set_band_norm(m.band_mean, m.band_std)
+        expected = WeightsManifest.of(net).layers
+        if m.layers != expected:
+            pairs = zip(m.layers, expected)
+            where = next((e.name for e, x in pairs if e != x),
+                         f"layer {min(len(m.layers), len(expected))}")
+            raise ValueError(f"weights manifest does not match architecture "
+                             f"at {where}")
+    except ValueError as exc:
+        raise ValueError(f"{path_stem}.json: {exc}") from None
+    values, at = np.frombuffer(raw, dtype="<f8"), 0
+    for _, p in net.params():
+        p[...] = values[at:at + p.size].reshape(p.shape)
+        at += p.size
     return net

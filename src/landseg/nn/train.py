@@ -11,7 +11,7 @@ from . import ops
 from .optim import Adam, SgdMomentum
 from ..raster import NODATA_ID, Raster, SPECTRAL_BANDS
 from ..sampling import augment
-from ..tiling import Tile, TilePlan, reflect_pad_to
+from ..tiling import Tile, TilePlan, finite_at_nodata, reflect_pad_to
 
 # Drift-style photometric jitter, in units of the train split's band
 # statistics: per-tile offsets up to JITTER_OFFSET standard deviations and
@@ -209,13 +209,13 @@ def predict_tiles(net, r: Raster, plan: TilePlan):
 
     Returns a list of (anchor, probs (patch, patch, K)) in plan order.
     """
+    plan.check_size("raster", r.width, r.height)
     if r.n_bands != net.in_ch:
         raise ValueError(
             f"raster has {r.n_bands} bands, network expects {net.in_ch}"
         )
-    data = reflect_pad_to(
-        r.data.astype(np.float64), plan.padded_height, plan.padded_width
-    )
+    data = reflect_pad_to(finite_at_nodata(r).astype(np.float64),
+                          plan.padded_height, plan.padded_width)
     p = plan.patch
     out = []
     for at in range(0, len(plan.anchors), PREDICT_BATCH):

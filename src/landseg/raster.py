@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsondoc import JsonDoc, check_object
+from .jsondoc import JsonDoc, doc_field, list_of
 
 NODATA_ID = 255
 
@@ -42,18 +42,28 @@ DEFAULT_CLASS_COLORS = [
 
 
 @dataclass(frozen=True)
-class ClassLegend(JsonDoc):
-    """Ordered class table: (class_id, name, rgb display color) per entry."""
+class LegendClass(JsonDoc):
+    """One legend entry: class id, name and rgb display color."""
 
-    entries: tuple
+    id: int
+    name: str
+    color: tuple = doc_field(list_of(into=tuple))
+
+
+@dataclass(frozen=True)
+class ClassLegend(JsonDoc):
+    """Ordered class table, one LegendClass per class id."""
+
+    partial = True  # a legend document may leave out nodata_id
+
+    classes: tuple = doc_field(list_of(LegendClass.from_json, into=tuple))
     nodata_id: int = NODATA_ID
 
     def __post_init__(self):
-        ids = [e[0] for e in self.entries]
-        names = [e[1] for e in self.entries]
+        ids = [c.id for c in self.classes]
         if ids != list(range(len(ids))):
             raise ValueError("class ids must be contiguous 0..K-1")
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(ids):
             raise ValueError("class names must be unique")
         if self.nodata_id != NODATA_ID:
             raise ValueError("nodata id is fixed at 255")
@@ -62,53 +72,26 @@ class ClassLegend(JsonDoc):
 
     @property
     def n_classes(self) -> int:
-        return len(self.entries)
+        return len(self.classes)
 
     @property
     def names(self) -> list:
-        return [e[1] for e in self.entries]
+        return [c.name for c in self.classes]
 
     def name_of(self, class_id: int) -> str:
         if class_id == self.nodata_id:
             return "nodata"
-        return self.entries[class_id][1]
-
-    def to_json(self) -> dict:
-        return {
-            "classes": [
-                {"id": cid, "name": name, "color": list(color)}
-                for cid, name, color in self.entries
-            ],
-            "nodata_id": self.nodata_id,
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "ClassLegend":
-        check_object(doc, "ClassLegend", ("classes", "nodata_id"))
-        if not isinstance(doc.get("classes"), list):
-            raise ValueError("ClassLegend document needs a 'classes' list")
-        entries = []
-        for c in doc["classes"]:
-            check_object(c, "ClassLegend class", ("id", "name", "color"))
-            if not {"id", "name", "color"} <= set(c):
-                raise ValueError("ClassLegend class needs 'id', 'name' and "
-                                 f"'color', got {sorted(c)}")
-            if not isinstance(c["color"], list):
-                raise ValueError("ClassLegend class 'color' must be a list")
-            entries.append((c["id"], c["name"], tuple(c["color"])))
-        return cls(entries=tuple(entries),
-                   nodata_id=doc.get("nodata_id", NODATA_ID))
+        return self.classes[class_id].name
 
 
 def default_legend(n_classes: int = 7) -> ClassLegend:
     """Legend over the first n_classes default class names."""
     if not 1 <= n_classes <= len(DEFAULT_CLASS_NAMES):
         raise ValueError(f"n_classes must be 1..{len(DEFAULT_CLASS_NAMES)}")
-    entries = tuple(
-        (i, DEFAULT_CLASS_NAMES[i], DEFAULT_CLASS_COLORS[i])
+    return ClassLegend(classes=tuple(
+        LegendClass(i, DEFAULT_CLASS_NAMES[i], DEFAULT_CLASS_COLORS[i])
         for i in range(n_classes)
-    )
-    return ClassLegend(entries=entries)
+    ))
 
 
 # Canonical band order for the stacked training input.
@@ -229,13 +212,19 @@ def write_container(path_stem, header: dict, body: bytes) -> None:
     Path(str(path_stem) + ".bin").write_bytes(body)
 
 
-def read_container(path_stem, body_size) -> tuple:
-    """Inverse of write_container: (header, body bytes). body_size(header)
-    checks the header and returns the body length it implies."""
+def read_container(path_stem, body_size, decode=None) -> tuple:
+    """Inverse of write_container: (header, body bytes). The header is
+    decode(header dict) if decode is given; body_size(header) checks it and
+    returns the body length it implies."""
     header = json.loads(Path(str(path_stem) + ".json").read_text())
     if not isinstance(header, dict):
         raise ValueError(f"{path_stem}.json: expected a JSON object, "
                          f"got {type(header).__name__}")
+    if decode is not None:
+        try:
+            header = decode(header)
+        except ValueError as exc:
+            raise ValueError(f"{path_stem}.json: {exc}") from None
     expected = body_size(header)
     body = Path(str(path_stem) + ".bin").read_bytes()
     if len(body) != expected:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsondoc import JsonDoc, doc_field
+from .jsondoc import JsonDoc, doc_field, list_of
 from .preprocess import slope_from_dem, stack_bands
 from .raster import (
     LabelRaster,
@@ -70,7 +70,7 @@ class SceneSpec(JsonDoc):
     band_correlation: float = 0.5
     elevation_bands: np.ndarray = None
     slope_pref: np.ndarray = None
-    dem_range: tuple = doc_field(tuple, default=(0.0, 2000.0))
+    dem_range: tuple = doc_field(list_of(into=tuple), default=(0.0, 2000.0))
     cell_size: float = 30.0
     smoothness: int = 24          # label-noise granularity in pixels
     terrain_weight: float = 3.0

@@ -9,11 +9,11 @@ border and midpoint ties go to the later (larger-anchor) tile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsondoc import JsonDoc, doc_field, list_of
+from .jsondoc import JsonDoc, check_object, doc_field, list_of
 from .raster import LabelRaster, NODATA_ID, Raster
 
 
@@ -39,16 +39,42 @@ def reflect_pad_to(arr: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     return arr
 
 
+def _axis_anchors(dim: int, patch: int, stride: int) -> list:
+    last = dim - patch
+    anchors = list(range(0, last + 1, stride))
+    if anchors[-1] != last:
+        anchors.append(last)
+    return anchors
+
+
 @dataclass
 class TilePlan(JsonDoc):
-    """Deterministic enumeration of patch anchors over an image."""
+    """Patch anchors over an image, per axis k*stride plus a clamped final
+    anchor; derived from the other fields, and checked when given. Images
+    smaller than the patch are reflect-padded up to it at extraction time;
+    the plan records the true image dims."""
 
     patch: int
     stride: int
     width: int
     height: int
     # (row, col) top-left corners, row-major
-    anchors: list = doc_field(list_of(tuple))
+    anchors: list = doc_field(list_of(list_of(into=tuple)), default=None)
+
+    def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError("image dims must be positive")
+        if not 1 <= self.stride <= self.patch:
+            raise ValueError("stride must be in 1..patch")
+        rows = _axis_anchors(self.padded_height, self.patch, self.stride)
+        cols = _axis_anchors(self.padded_width, self.patch, self.stride)
+        grid = [(r, c) for r in rows for c in cols]
+        if self.anchors is not None and self.anchors != grid:
+            raise ValueError(
+                f"'anchors' are not the {len(grid)} anchors of "
+                f"patch {self.patch}, stride {self.stride} over "
+                f"{self.width}x{self.height}")
+        self.anchors = grid
 
     @property
     def padded_width(self) -> int:
@@ -58,31 +84,19 @@ class TilePlan(JsonDoc):
     def padded_height(self) -> int:
         return max(self.height, self.patch)
 
-
-def _axis_anchors(dim: int, patch: int, stride: int) -> list:
-    last = dim - patch
-    anchors = list(range(0, last + 1, stride))
-    if anchors[-1] != last:
-        anchors.append(last)
-    return anchors
+    def check_size(self, what: str, width: int, height: int):
+        """Raise ValueError unless the plan was made for width x height."""
+        if (width, height) != (self.width, self.height):
+            raise ValueError(
+                f"{what} geometry {width}x{height} does not match the tile "
+                f"plan's {self.width}x{self.height}")
 
 
 def plan_tiles(width: int, height: int, patch: int = 256, stride: int | None = None) -> TilePlan:
-    """Anchor grid k*stride per axis, plus a clamped final anchor.
-
-    Images smaller than the patch are reflect-padded up to it at extraction
-    time; the plan records the true image dims.
-    """
-    if width <= 0 or height <= 0:
-        raise ValueError("image dims must be positive")
+    """TilePlan of a width x height image; stride defaults to patch/2."""
     if stride is None:
         stride = patch // 2
-    if not 1 <= stride <= patch:
-        raise ValueError("stride must be in 1..patch")
-    rows = _axis_anchors(max(height, patch), patch, stride)
-    cols = _axis_anchors(max(width, patch), patch, stride)
-    anchors = [(r, c) for r in rows for c in cols]
-    return TilePlan(patch=patch, stride=stride, width=width, height=height, anchors=anchors)
+    return TilePlan(patch=patch, stride=stride, width=width, height=height)
 
 
 @dataclass
@@ -111,17 +125,27 @@ class SampleSet:
         return [t for t, s in zip(self.tiles, self.split_tags) if s == tag]
 
 
+def finite_at_nodata(r: Raster) -> np.ndarray:
+    """r.data with each non-finite value at a nodata pixel set to 0, so
+    none reaches a network; r.data itself when there is none."""
+    invalid = ~r.valid_mask
+    at_nodata = r.data[:, invalid]
+    if np.isfinite(at_nodata).all():
+        return r.data
+    data = r.data.copy()
+    data[:, invalid] = np.where(np.isfinite(at_nodata), at_nodata, 0)
+    return data
+
+
 def extract_tiles(r: Raster, l: LabelRaster, plan: TilePlan) -> SampleSet:
     """Cut (raster, label) patches at the plan's anchors.
 
     Tiles whose label patch is entirely nodata are dropped and counted.
     """
-    if (r.width, r.height) != (plan.width, plan.height):
-        raise ValueError("raster geometry does not match plan")
-    if (l.width, l.height) != (plan.width, plan.height):
-        raise ValueError("label geometry does not match plan")
+    plan.check_size("raster", r.width, r.height)
+    plan.check_size("label", l.width, l.height)
     ph, pw = plan.padded_height, plan.padded_width
-    data = reflect_pad_to(r.data, ph, pw)
+    data = reflect_pad_to(finite_at_nodata(r), ph, pw)
     mask = reflect_pad_to(r.valid_mask, ph, pw)
     labels = reflect_pad_to(l.labels, ph, pw)
 
@@ -142,6 +166,7 @@ def extract_tiles(r: Raster, l: LabelRaster, plan: TilePlan) -> SampleSet:
 
 
 SPLIT_FRACTIONS = (("train", 0.6), ("val", 0.2), ("test", 0.2))
+SPLIT_TAGS = tuple(tag for tag, _ in SPLIT_FRACTIONS)
 
 
 def split_counts(n: int) -> dict:
@@ -171,10 +196,50 @@ def split_samples(s: SampleSet, seed: int) -> SampleSet:
         for i in perm[pos:pos + counts[tag]]:
             tags[i] = tag
         pos += counts[tag]
-    return SampleSet(
-        tiles=s.tiles, band_names=s.band_names, seed=seed,
-        split_tags=tags, dropped=s.dropped,
-    )
+    return replace(s, seed=seed, split_tags=tags)
+
+
+def _split_anchors(doc) -> dict:
+    check_object(doc, "splits", SPLIT_TAGS)
+    return {tag: list_of(list_of(into=tuple))(anchors)
+            for tag, anchors in doc.items()}
+
+
+@dataclass
+class TileSplit(JsonDoc):
+    """The tile stage's document: a plan, the seed of its split, the count
+    of all-nodata tiles dropped, and per tag (train, val or test) the
+    anchors of that split's tiles in tile order."""
+
+    plan: TilePlan = doc_field(TilePlan.from_json)
+    seed: int
+    dropped: int
+    splits: dict = doc_field(_split_anchors)
+
+    def __post_init__(self):
+        on_plan, seen = set(self.plan.anchors), set()
+        for tag, anchors in self.splits.items():
+            for anchor in anchors:
+                if anchor in seen or anchor not in on_plan:
+                    raise ValueError(
+                        f"'splits' {tag!r} anchor {list(anchor)} is "
+                        + ("listed twice" if anchor in seen
+                           else "not an anchor of the plan"))
+                seen.add(anchor)
+
+    @classmethod
+    def of(cls, plan: TilePlan, samples: SampleSet) -> "TileSplit":
+        return cls(plan=plan, seed=samples.seed, dropped=samples.dropped,
+                   splits={tag: [t.anchor for t in samples.subset(tag)]
+                           for tag in SPLIT_TAGS})
+
+    def samples(self, r: Raster, l: LabelRaster) -> SampleSet:
+        """The plan's tiles of (r, l) by split; a tile in none is a test tile."""
+        s = extract_tiles(r, l, self.plan)
+        tag_of = {a: tag for tag, anchors in self.splits.items()
+                  for a in anchors}
+        return replace(s, seed=self.seed, split_tags=[
+            tag_of.get(t.anchor, "test") for t in s.tiles])
 
 
 def _axis_ownership(anchors: list, patch: int, dim: int) -> list:

@@ -15,7 +15,9 @@ from landseg.cli import main
 from landseg.experiment import TABLE2_SCENE_SIZE, table2_experiment
 from landseg.models import save_model
 from landseg.nn import build_network, save_network
+from landseg.sampling import stratified_sample
 from landseg.synth import SceneSpec
+from landseg.tiling import plan_tiles
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +242,7 @@ _CLASS = {"id": 0, "name": "a", "color": [1, 2, 3]}
     ({"classes": [{**_CLASS, "rgb": [1, 2, 3]}]}, "unknown key 'rgb'"),
     ({"classes": [{"id": 0, "name": "a"}]}, "'color'"),
     ({"nodata_id": 255}, "'classes' list"),
+    ({"classes": [{**_CLASS, "color": "red"}]}, "'color': expected a list"),
 ])
 def test_evaluate_rejects_bad_legend(scene_dir, tmp_path, capsys, legend,
                                      named):
@@ -350,27 +353,49 @@ def test_predict_names_missing_layers_field(scene_dir, tmp_path, capsys):
     assert "'layers' field" in capsys.readouterr().err
 
 
-def test_train_net_fails_on_nan_input(scene_dir, tmp_path, capsys):
-    stack = read_raster(scene_dir / "stack")
-    # inside every tile that covers row 70; at nodata pixels, which
-    # read_raster lets hold any value, so the NaN reaches the net
-    stack.data[0, 70, :] = np.nan
-    stack.valid_mask[70, :] = False
-    write_raster(stack, tmp_path / "stack")
-    assert main(["tile", "--stack", str(tmp_path / "stack"),
+def test_train_net_fails_on_diverging_loss(scene_dir, tmp_path, capsys):
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
                  "--labels", str(scene_dir / "labels"), "--patch", "64",
                  "--stride", "32", "--out", str(tmp_path / "plan.json")]) == 0
-    (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 1, "width": 4}))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"epochs": 1, "width": 4, "lr": 1e300}))
     rc = main(["train-net", "--arch", "psp_mini",
-               "--stack", str(tmp_path / "stack"),
+               "--stack", str(scene_dir / "stack"),
                "--labels", str(scene_dir / "labels"),
                "--plan", str(tmp_path / "plan.json"),
                "--config", str(tmp_path / "cfg.json"),
                "--out", str(tmp_path / "net")])
     assert rc == 2
-    assert "epoch 0" in capsys.readouterr().err
+    assert "epoch 0; training diverged" in capsys.readouterr().err
     assert not (tmp_path / "net.json").exists()
     assert not (tmp_path / "net.bin").exists()
+
+
+def test_nan_at_nodata_pixel_reaches_no_net(scene_dir, tmp_path, capsys):
+    stack = read_raster(scene_dir / "stack")
+    # inside every tile that covers row 70, at a pixel made nodata, which
+    # read_raster lets hold any value
+    stack.data[0, 70, 5] = np.nan
+    stack.valid_mask[70, 5] = False
+    write_raster(stack, tmp_path / "stack")
+    common = ["--stack", str(tmp_path / "stack"),
+              "--plan", str(tmp_path / "plan.json")]
+    assert main(["tile", "--stack", str(tmp_path / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--stride", "32", "--out", str(tmp_path / "plan.json")]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 1, "width": 4}))
+    assert main(["train-net", "--arch", "psp_mini", *common,
+                 "--labels", str(scene_dir / "labels"),
+                 "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "net")]) == 0
+    assert "diverged" not in capsys.readouterr().err
+    save_network(build_network("unet_mini", in_ch=7, n_classes=6, width=4,
+                               patch=64), tmp_path / "unet")
+    for model in ("net", "unet"):
+        assert main(["predict", "--model", str(tmp_path / model), *common,
+                     "--out", str(tmp_path / model)]) == 0
+        probs = read_raster(tmp_path / f"{model}_probs")
+        assert np.isfinite(probs.data[:, stack.valid_mask]).all()
 
 
 def _non_finite_input(scene_dir, tmp_path, stage, value):
@@ -459,6 +484,128 @@ def test_train_net_help_shows_network_width_default(capsys):
     out = " ".join(capsys.readouterr().out.split())
     width = inspect.signature(build_network).parameters["width"].default
     assert f"width (default {width}) and class_weighting (default true)" in out
+
+
+def test_stage_help_shows_library_defaults(capsys):
+    for stage, option, fn, name in [
+            ("tile", "--patch PATCH", plan_tiles, "patch"),
+            ("train-pixel", "--samples SAMPLES", stratified_sample,
+             "n_per_class")]:
+        with pytest.raises(SystemExit):
+            main([stage, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        default = inspect.signature(fn).parameters[name].default
+        assert re.search(f"{option} .*default: {default}\\b", out)
+
+
+@pytest.fixture(scope="module")
+def documents(scene_dir, tmp_path_factory):
+    """A tile plan, a psp_mini weights stem and an RF model of the scene."""
+    out = tmp_path_factory.mktemp("documents")
+    assert main(["tile", "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"), "--patch", "64",
+                 "--out", str(out / "plan.json")]) == 0
+    save_network(build_network("psp_mini", in_ch=7, n_classes=6, width=4,
+                               patch=64), out / "net")
+    save_model(rf_train(np.arange(14.0).reshape(2, 7), np.array([0, 1]),
+                        n_trees=2, min_leaf=1), out / "rf.json")
+    return out
+
+
+def _set(*path, value):
+    """Edit that sets doc[path...] to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _retag(doc):
+    doc["splits"]["bogus"] = doc["splits"].pop("test")
+
+
+def _off_grid(key):
+    def edit(doc):
+        anchors = doc["plan"]["anchors"] if key == "plan" else (
+            doc["splits"]["train"])
+        anchors[0] = [1, 1]
+    return edit
+
+
+def _case(id, file, edit, *named):
+    return pytest.param(file, edit, named, id=id)
+
+
+@pytest.mark.parametrize("file, edit, named", [
+    _case("spec-width", "spec.json", _set("width", value="128"), "'width'",
+          "'128'"),
+    _case("spec-dem_range", "spec.json", _set("dem_range", value="ab"),
+          "'dem_range'", "expected a list"),
+    _case("rf-n_classes", "rf.json", _set("model", "n_classes", value="6"),
+          "'n_classes'"),
+    _case("plan-patch", "plan.json", _set("plan", "patch", value="32"),
+          "'patch'"),
+    _case("plan-anchor", "plan.json", _off_grid("plan"), "'anchors'"),
+    _case("splits-list", "plan.json", _set("splits", value=[]), "'splits'",
+          "got list"),
+    _case("splits-null", "plan.json", _set("splits", value=None),
+          "'splits'", "null"),
+    _case("split-tag", "plan.json", _retag, "'bogus'"),
+    _case("split-anchor", "plan.json", _off_grid("splits"), "'splits'",
+          "[1, 1]"),
+    _case("net-width", "net.json", _set("width", value="4"), "'width'",
+          "'4'"),
+    _case("net-in_ch", "net.json", _set("in_ch", value=7.0), "'in_ch'",
+          "7.0"),
+    _case("net-patch", "net.json", _set("patch", value=None), "'patch'",
+          "null"),
+    _case("net-patch-6", "net.json", _set("patch", value=6), "patch must be"),
+    _case("net-unknown-key", "net.json", _set("extra", value=1),
+          "unknown key 'extra'"),
+    _case("net-arch", "net.json", _set("arch", value="resnet"), "'arch'"),
+])
+def test_malformed_document_names_file_and_key(scene_dir, documents,
+                                               tmp_path, capsys, file, edit,
+                                               named):
+    for name in ("plan.json", "net.json", "net.bin", "rf.json"):
+        (tmp_path / name).write_bytes((documents / name).read_bytes())
+    (tmp_path / "spec.json").write_text("{}")
+    doc = json.loads((tmp_path / file).read_text())
+    edit(doc)
+    (tmp_path / file).write_text(json.dumps(doc))
+    (tmp_path / "out").mkdir()
+    out = ["--out", str(tmp_path / "out" / "x")]
+    if file == "spec.json":
+        argv = ["synth", "--spec", str(tmp_path / file), *out]
+    elif file == "rf.json":
+        argv = ["predict", "--model", str(tmp_path / file),
+                "--stack", str(scene_dir / "stack"), *out]
+    else:
+        argv = ["predict", "--model", str(tmp_path / "net"),
+                "--stack", str(scene_dir / "stack"),
+                "--plan", str(tmp_path / "plan.json"), *out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    for word in (file, *named):
+        assert word in err, err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_predict_names_both_sizes_of_a_plan_for_another_raster(
+        scene_dir, documents, tmp_path, capsys):
+    split = json.loads((documents / "plan.json").read_text())
+    split.update(plan=plan_tiles(256, 256, patch=64).to_json(),
+                 splits={"train": [], "val": [], "test": []})
+    (tmp_path / "plan.json").write_text(json.dumps(split))
+    assert main(["predict", "--model", str(documents / "net"),
+                 "--stack", str(scene_dir / "stack"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "256x256" in err and "128x128" in err
+    assert "internal error" not in err
 
 
 def test_experiment_determinism(tmp_path):

@@ -3,15 +3,21 @@ every document class that uses it."""
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import landseg.cli  # noqa: F401  (defines every document class)
 from landseg.classical import DecisionTree, RandomForest, cart_train, rf_train
 from landseg.classical.svm import PairModel, SvmClassifier
+from landseg.jsondoc import JsonDoc
 from landseg.models import save_model
+from landseg.nn import build_network
+from landseg.nn.networks import WeightsManifest
+from landseg.raster import ClassLegend, LegendClass
 from landseg.synth import SceneSpec
-from landseg.tiling import TilePlan, plan_tiles
+from landseg.tiling import TilePlan, TileSplit, plan_tiles
 
 X = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 2], [2, 3], [3, 2],
               [3, 3], [0, 3], [3, 0], [1, 2], [2, 1]], dtype=np.float64)
@@ -32,7 +38,21 @@ def fixed_documents():
         "svm": svm,
         "plan": plan_tiles(100, 70, patch=32, stride=24),
         "spec": SceneSpec(width=64, height=48, seed=3, spectral_seed=9),
+        "split": TileSplit(
+            plan=plan_tiles(40, 30, patch=16, stride=12), seed=4, dropped=1,
+            splits={"train": [(0, 12), (14, 24), (0, 0)], "val": [(14, 12)],
+                    "test": [(0, 24)]}),
+        "manifest": WeightsManifest.of(_tiny_net()),
+        "legend": ClassLegend(classes=(
+            LegendClass(0, "Water", (0, 0, 255)),
+            LegendClass(1, "Bare soil", (200, 180, 120)))),
     }
+
+
+def _tiny_net():
+    net = build_network("psp_mini", in_ch=2, n_classes=3, width=4, patch=8)
+    net.set_band_norm([1.5, -2.0], [0.5, 3.0])
+    return net
 
 
 # sha256 of each document as written before the shared codec existed
@@ -42,6 +62,11 @@ PINNED = {
     "svm": "21410f3d8c1e691dd936153dbd9eaa536abf0b5c6a5a3862879c68044ea88538",
     "plan": "0738214e3e3100ccd28767dc940603e07c205e0a1ae2346803c44a9677bb37b6",
     "spec": "0b4ef6e1c0b52dc448a0b4eac0fef77bfb1ed1482991cef32f07b57603c8f620",
+    # written by the tile stage's, save_network's and ClassLegend's own
+    # writers before the three moved onto the codec
+    "split": "c1133787521f94c0aa3b311bf0a8c25ce16b72c0bbbc01a23f072027a80bf8c7",
+    "manifest": "b6539258766d27d34125932500d56dd4964ad976afe0df6db0ed266371e63dbf",
+    "legend": "fa84c90804adbf00707bc3a7d75fa48e0e2006316a400a0eb72a6a8964ddac39",
 }
 
 
@@ -49,11 +74,34 @@ PINNED = {
 def test_saved_document_bytes_are_pinned(tmp_path, name):
     obj = fixed_documents()[name]
     path = tmp_path / f"{name}.json"
-    if name in ("plan", "spec"):
+    if name not in ("cart", "rf", "svm"):
         obj.save(path)
     else:
         save_model(obj, path, band_names=["a", "b"])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name]
+
+
+def _document_classes(obj) -> set:
+    """The class of a document and of every document nested in it."""
+    found = {type(obj)}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            value = list(value.values())
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, JsonDoc):
+                found |= _document_classes(item)
+    return found
+
+
+def test_every_document_class_has_a_pinned_sample():
+    def subclasses(cls):
+        return {sub for c in cls.__subclasses__()
+                for sub in (c, *subclasses(c))}
+
+    docs = fixed_documents()
+    pinned = set().union(*(_document_classes(docs[name]) for name in PINNED))
+    assert sorted(c.__name__ for c in subclasses(JsonDoc) - pinned) == []
 
 
 def _json_round_trip(obj):

@@ -7,6 +7,7 @@ from landseg import (
     ClassLegend,
     GroundPointSet,
     LabelRaster,
+    LegendClass,
     Raster,
     default_legend,
     read_labels,
@@ -105,9 +106,9 @@ def test_label_size_mismatch(tmp_path):
 
 def test_legend_invariants():
     with pytest.raises(ValueError, match="contiguous"):
-        ClassLegend(entries=((0, "a", (0, 0, 0)), (2, "b", (0, 0, 0))))
+        ClassLegend(classes=(LegendClass(0, "a", (0, 0, 0)), LegendClass(2, "b", (0, 0, 0))))
     with pytest.raises(ValueError, match="unique"):
-        ClassLegend(entries=((0, "a", (0, 0, 0)), (1, "a", (0, 0, 0))))
+        ClassLegend(classes=(LegendClass(0, "a", (0, 0, 0)), LegendClass(1, "a", (0, 0, 0))))
     leg = default_legend(7)
     assert leg.n_classes == 7
     assert leg.nodata_id == 255

@@ -8,7 +8,9 @@ from landseg import (
     split_samples,
     stitch_center,
 )
-from landseg.tiling import TilePlan, reflect_pad_to, split_counts
+from landseg.tiling import (
+    TilePlan, TileSplit, finite_at_nodata, reflect_pad_to, split_counts,
+)
 from conftest import random_labels, random_raster
 
 
@@ -124,6 +126,45 @@ def test_split_tags_and_determinism(rng):
     assert sorted(a.split_tags).count("train") == 5
     c = split_samples(s, seed=8)
     assert a.split_tags != c.split_tags  # overwhelmingly likely
+
+
+def test_tile_split_document_keeps_tags(rng, tmp_path):
+    r = random_raster(rng, 100, 80)
+    l = random_labels(rng, 100, 80, nodata_frac=0.2)
+    l.labels[:40, :40] = 255  # the first tile is all nodata: dropped
+    plan = plan_tiles(100, 80, 32)
+    samples = split_samples(extract_tiles(r, l, plan), seed=3)
+    TileSplit.of(plan, samples).save(tmp_path / "split.json")
+    back = TileSplit.load(tmp_path / "split.json").samples(r, l)
+    assert back.split_tags == samples.split_tags
+    assert (back.seed, back.dropped) == (3, samples.dropped) == (3, 1)
+    assert [t.anchor for t in back.tiles] == [t.anchor for t in samples.tiles]
+
+
+def test_plan_anchors_are_derived():
+    plan = plan_tiles(100, 70, patch=32, stride=24)
+    assert TilePlan.from_json(plan.to_json()).anchors == plan.anchors
+    doc = plan.to_json()
+    doc["anchors"][2] = [0, 50]
+    with pytest.raises(ValueError, match="TilePlan: 'anchors' are not"):
+        TilePlan.from_json(doc)
+    doc["anchors"] = doc["anchors"][:2]
+    with pytest.raises(ValueError, match="'anchors' are not"):
+        TilePlan.from_json(doc)
+
+
+def test_nodata_values_are_zeroed_before_the_nets(rng):
+    r = random_raster(rng, 64, 64)
+    assert finite_at_nodata(r) is r.data
+    r.data[1, 5, 7] = np.nan
+    r.data[0, 9, 9] = -np.inf
+    r.valid_mask[5, 7] = r.valid_mask[9, 9] = r.valid_mask[3, 3] = False
+    data = finite_at_nodata(r)
+    bad = ~np.isfinite(r.data)
+    assert (data[bad] == 0).all()
+    assert np.array_equal(data[~bad], r.data[~bad])  # finite ones untouched
+    s = extract_tiles(r, random_labels(rng, 64, 64), plan_tiles(64, 64, 32))
+    assert all(np.isfinite(t.x).all() for t in s.tiles)
 
 
 def test_split_needs_five_tiles(rng):

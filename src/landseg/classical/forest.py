@@ -8,6 +8,14 @@ over the trees that did not see the sample. All trees grow in lockstep, one
 node of each per batched split search; with threads > 1 each thread grows
 a contiguous group of trees that way. Each tree's own rng keeps the result
 independent of both.
+
+A forest votes through per-feature threshold tables (the bitvector method
+of QuickScorer, Lucchese et al. 2015), not by walking each tree: each
+tree's leaves are numbered left to right, and a row's exit leaf is the
+lowest leaf that no node the row passes on the right rules out. Those
+nodes are the ones whose threshold lies below the row's value, so for
+each feature one table lookup, by the row's rank among the sorted
+thresholds, gives the AND of their masks for every tree at once.
 """
 
 from __future__ import annotations
@@ -20,6 +28,11 @@ import numpy as np
 from ..jsondoc import JsonDoc, as_array, doc_field, list_of
 from .params import check_params
 from .tree import DecisionTree, _grow
+
+VOTE_TABLE_BYTES = 1 << 22  # bound on one group's tables; bounds memory
+VOTE_CELLS = 1 << 16  # (row, tree, word) cells per block of table lookups
+# _LOW[n] has the n lowest of 64 bits set
+_LOW = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
 @dataclass
@@ -50,11 +63,120 @@ class RandomForest(JsonDoc):
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Vote fractions over trees."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        votes = np.zeros((x.shape[0], self.n_classes), dtype=np.float64)
-        for tree in self.trees:
-            pred = tree.predict(x)
-            votes[np.arange(x.shape[0]), pred] += 1.0
-        return votes / self.n_trees
+        return _votes(self.trees, x, self.n_classes) / self.n_trees
+
+
+def _groups(trees, n_features):
+    """Trees in groups whose threshold tables stay within VOTE_TABLE_BYTES,
+    fewest leaves first so that small trees share narrow masks."""
+    leaves = [int((t.feature < 0).sum()) for t in trees]
+    group, inner = [], 0
+    for t in sorted(range(len(trees)), key=leaves.__getitem__):
+        splits = trees[t].n_nodes - leaves[t]
+        words = -(-leaves[t] // 64)
+        # a feature's table has a row per threshold and one past the last
+        if group and ((inner + splits + n_features) * (len(group) + 1)
+                      * words * 8 > VOTE_TABLE_BYTES):
+            yield group
+            group, inner = [], 0
+        group.append(trees[t])
+        inner += splits
+    if group:
+        yield group
+
+
+def _tables(trees):
+    """Threshold tables of a group of trees, and each leaf's class.
+
+    Returns (tables, leaf_class): tables holds (feature, thresholds,
+    table) per feature a node splits on, where table[b, g] is the AND of
+    the negated left-subtree leaf masks of tree g's nodes on that feature
+    with one of the b lowest thresholds; leaf_class[g, l] is the class
+    of tree g's l-th leaf from the left.
+    """
+    g_n = len(trees)
+    size = [t.n_nodes for t in trees]
+    off = np.cumsum(size) - size
+    feat = np.concatenate([t.feature for t in trees])
+    thr = np.concatenate([t.threshold for t in trees])
+    inner = feat >= 0
+    left = np.where(inner, np.concatenate([t.left for t in trees])
+                    + np.repeat(off, size), -1)
+    right = np.where(inner, np.concatenate([t.right for t in trees])
+                     + np.repeat(off, size), -1)
+    levels, level = [], off
+    while level.size:
+        levels.append(level[inner[level]])
+        level = np.concatenate([left[levels[-1]], right[levels[-1]]])
+    n_leaves = np.ones(feat.size, dtype=np.int64)
+    for split in reversed(levels):
+        n_leaves[split] = n_leaves[left[split]] + n_leaves[right[split]]
+    first = np.zeros(feat.size, dtype=np.int64)  # leftmost leaf's number
+    for split in levels:
+        first[left[split]] = first[split]
+        first[right[split]] = first[split] + n_leaves[left[split]]
+    words = -(-int(n_leaves[off].max()) // 64)
+    tree = np.repeat(np.arange(g_n), size)
+    leaf = np.flatnonzero(~inner)
+    leaf_class = np.zeros((g_n, 64 * words), dtype=np.int64)
+    leaf_class[tree[leaf], first[leaf]] = np.argmax(
+        np.concatenate([t.hist for t in trees])[leaf], axis=1)
+    split = np.flatnonzero(inner)
+    bit = 64 * np.arange(words)
+    lo = np.clip(first[split, None] - bit, 0, 64)
+    hi = np.clip(first[split, None] + n_leaves[left[split], None] - bit,
+                 0, 64)
+    neg = _LOW[lo] | ~_LOW[hi]  # (splits, words): leaves off each left subtree
+    tables = []
+    # a forest of root leaves gets one table of no thresholds
+    for f in np.unique(feat[split]).tolist() or [0]:
+        on = feat[split] == f
+        thresholds, rank = np.unique(thr[split[on]], return_inverse=True)
+        table = np.full((thresholds.size + 1, g_n, words), _LOW[64])
+        np.bitwise_and.at(table, (rank + 1, tree[split[on]]), neg[on])
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        tables.append((f, thresholds, table))
+    return tables, leaf_class
+
+
+def _votes(trees, x, n_classes):
+    """Vote counts (rows, n_classes) of the trees' leaf-majority classes.
+
+    A row's table entry for a feature is at its rank among the
+    thresholds, searchsorted side "left": the nodes it passes on the
+    right are exactly those with a threshold below its value, so a value
+    equal to a threshold goes left and NaN goes right, as in
+    DecisionTree.predict. The AND over features keeps every leaf the row
+    can reach in each tree, and the lowest one is its exit leaf.
+    """
+    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
+    for group in _groups(trees, x.shape[1]):
+        tables, leaf_class = _tables(group)
+        g_n, width = leaf_class.shape
+        words = width // 64
+        at_tree = np.arange(g_n) * width
+        rows = max(1, VOTE_CELLS // (g_n * words))
+        for at in range(0, x.shape[0], rows):
+            xb = x[at:at + rows]
+            (f, thresholds, table), *rest = tables
+            live = table[np.searchsorted(thresholds, xb[:, f])]
+            for f, thresholds, table in rest:
+                live &= table[np.searchsorted(thresholds, xb[:, f])]
+            # the lowest set bit of the first word that has one
+            low, at_leaf = live[..., -1], at_tree + 64 * (words - 1)
+            for j in range(words - 2, -1, -1):
+                hit = live[..., j] != 0
+                low = np.where(hit, live[..., j], low)
+                at_leaf = np.where(hit, at_tree + 64 * j, at_leaf)
+            # a power of two converts exactly; its exponent is the bit
+            bit = (low & -low).astype(np.float64).view(np.int64) >> 52
+            bit += at_leaf - 1023
+            cls = leaf_class.ravel()[bit]
+            cls += n_classes * np.arange(xb.shape[0])[:, None]
+            votes[at:at + xb.shape[0]] += np.bincount(
+                cls.ravel(), minlength=xb.shape[0] * n_classes
+            ).reshape(-1, n_classes)
+    return votes
 
 
 def _forest_oob_error(trees, oob_indices, x, y, n_classes) -> float | None:

@@ -50,6 +50,22 @@ class DecisionTree(JsonDoc):
     min_leaf: int = 5
     max_depth: int | None = None
 
+    def __post_init__(self):
+        # a forest's vote tables assume a tree: every node but the root is
+        # the child of exactly one split node with a lower index
+        n = self.n_nodes
+        if any(a.shape[:1] != (n,) for a in (self.threshold, self.left,
+                                              self.right, self.hist)):
+            raise ValueError("node arrays differ in length")
+        split = np.flatnonzero(self.feature >= 0)
+        kids = np.concatenate([self.left[split], self.right[split]])
+        if not (np.array_equal(np.sort(kids), np.arange(1, n))
+                and (kids > np.tile(split, 2)).all()):
+            raise ValueError("'left' and 'right' do not form a tree")
+        # x <= NaN is false for every x, which no threshold table can rank
+        if np.isnan(self.threshold).any():
+            raise ValueError("'threshold' holds NaN")
+
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]

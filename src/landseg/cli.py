@@ -260,7 +260,7 @@ def cmd_train_net(args):
 def cmd_predict(args):
     _require(args.stack, "stack raster")
     stack = read_raster(args.stack)
-    model = load_model(args.model)
+    model = load_model(args.model, n_bands=stack.n_bands)
     plan = None
     if args.plan is not None:
         _require(args.plan, "tile plan")

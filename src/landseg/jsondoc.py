@@ -36,6 +36,26 @@ def as_array(dtype):
     return lambda value: np.asarray(value, dtype=dtype)
 
 
+def number(value):
+    """Decoder of a JSON number; a bool, a str or null raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {reprlib.repr(value)}")
+    return value
+
+
+def as_numbers(value):
+    """Decoder of a JSON number, or of lists of them nested to any depth,
+    to a float64 array."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        else:
+            number(item)
+    return np.asarray(value, dtype=np.float64)
+
+
 def list_of(decode=None, into=list):
     """Decoder of a JSON list into `into`, item by item through decode."""
     def read(value):

@@ -44,11 +44,12 @@ def save_model(model, path, band_names=None) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def load_model(path):
+def load_model(path, n_bands=None):
     """Load a pixel-model document or a network weights stem.
 
     Reads `path` if it is a file, else `path + ".json"`, once, and
-    dispatches on its format field.
+    dispatches on its format field. Given n_bands, a pixel model trained
+    on another number of bands raises ValueError naming both counts.
     """
     doc_path = Path(path)
     if not doc_path.is_file():
@@ -68,9 +69,20 @@ def load_model(path):
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     try:
-        return _KINDS[kind].from_json(doc["model"])
+        model = _KINDS[kind].from_json(doc["model"])
     except ValueError as exc:
         raise ValueError(f"{doc_path}: {exc}") from None
+    if kind == "forest":
+        trained = model.n_features
+    elif kind == "svm":
+        trained = model.mean.size
+    else:  # a tree keeps no band count; its document keeps the bands
+        names = doc.get("band_names")
+        trained = len(names) if isinstance(names, list) else None
+    if None not in (n_bands, trained) and trained != n_bands:
+        raise ValueError(f"{doc_path}: model was trained on {trained} "
+                         f"bands, the stack has {n_bands}")
+    return model
 
 
 def predict_pixels(model, r: Raster) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsondoc import JsonDoc, doc_field, list_of
+from .jsondoc import JsonDoc, as_numbers, doc_field, list_of, number
 from .preprocess import slope_from_dem, stack_bands
 from .raster import (
     LabelRaster,
@@ -65,12 +65,13 @@ class SceneSpec(JsonDoc):
     height: int = 512
     seed: int = 0
     n_classes: int = 6
-    spectral_means: np.ndarray = None
+    spectral_means: np.ndarray = doc_field(as_numbers, default=None)
     spectral_noise: float = 9.0
     band_correlation: float = 0.5
-    elevation_bands: np.ndarray = None
-    slope_pref: np.ndarray = None
-    dem_range: tuple = doc_field(list_of(into=tuple), default=(0.0, 2000.0))
+    elevation_bands: np.ndarray = doc_field(as_numbers, default=None)
+    slope_pref: np.ndarray = doc_field(as_numbers, default=None)
+    dem_range: tuple = doc_field(list_of(number, into=tuple),
+                                 default=(0.0, 2000.0))
     cell_size: float = 30.0
     smoothness: int = 24          # label-noise granularity in pixels
     terrain_weight: float = 3.0

@@ -138,7 +138,10 @@ def test_tracer_records_forest_layers(tmp_path):
     assert train.get("tree.fit.s", 0) > 0 and train.get("forest.fit.s", 0) > 0
     predict = _traced(tmp_path, "predict.json", "predict", "--model",
                       "rf.json", "--stack", "scene/stack", "--out", "rf")
-    assert predict.get("tree.predict.s", 0) > 0
+    # the map votes through forest tables; the OOB pass walks single trees
+    assert predict.get("forest.predict.s", 0) > 0
+    assert (train.get("tree.predict.s", 0)
+            + predict.get("tree.predict.s", 0)) > 0
 
 
 def test_tracer_records_net_layers(tmp_path):

@@ -542,6 +542,23 @@ def _case(id, file, edit, *named):
           "'128'"),
     _case("spec-dem_range", "spec.json", _set("dem_range", value="ab"),
           "'dem_range'", "expected a list"),
+    _case("spec-dem_range-str", "spec.json",
+          _set("dem_range", value=["a", "b"]), "'dem_range'", "'a'"),
+    _case("spec-dem_range-bool", "spec.json",
+          _set("dem_range", value=[True, 2000]), "'dem_range'", "True"),
+    _case("spec-spectral_means", "spec.json",
+          _set("spectral_means", value=[["1"] * 5] * 6),
+          "'spectral_means'", "'1'"),
+    _case("rf-threshold-nan", "rf.json",
+          _set("model", "trees", 0, "threshold", 0, value=float("nan")),
+          "'threshold'", "NaN"),
+    _case("rf-tree-child", "rf.json",
+          _set("model", "trees", 0, value={
+              "feature": [0, -1, -1], "threshold": [0.5, 0, 0],
+              "left": [9, -1, -1], "right": [2, -1, -1],
+              "hist": [[1, 1], [1, 0], [0, 1]], "n_classes": 2,
+              "min_leaf": 1, "max_depth": None}),
+          "'trees'", "do not form a tree"),
     _case("rf-n_classes", "rf.json", _set("model", "n_classes", value="6"),
           "'n_classes'"),
     _case("plan-patch", "plan.json", _set("plan", "patch", value="32"),
@@ -606,6 +623,51 @@ def test_predict_names_both_sizes_of_a_plan_for_another_raster(
     err = capsys.readouterr().err
     assert "256x256" in err and "128x128" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("algo, trained_on, stack, named", [
+    ("cart", "stack", "spectral", "trained on 7 bands, the stack has 5"),
+    ("rf", "stack", "spectral", "trained on 7 bands, the stack has 5"),
+    ("cart", "spectral", "stack", "trained on 5 bands, the stack has 7"),
+    ("svm", "spectral", "stack", "trained on 5 bands, the stack has 7"),
+])
+def test_predict_names_both_band_counts(scene_dir, tmp_path, capsys, algo,
+                                        trained_on, stack, named):
+    assert main(["train-pixel", "--algo", algo,
+                 "--stack", str(scene_dir / trained_on),
+                 "--labels", str(scene_dir / "labels"),
+                 "--legend", str(scene_dir / "legend.json"),
+                 "--samples", "10", "--seed", "3",
+                 "--out", str(tmp_path / "model.json")]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(tmp_path / "model.json"),
+                 "--stack", str(scene_dir / stack),
+                 "--out", str(tmp_path / "pred")]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and named in err, err
+    assert "internal error" not in err
+    assert not list(tmp_path.glob("pred*"))
+
+
+def test_rf_prediction_is_pinned(scene_dir, tmp_path):
+    # sha256 of the map bytes when each tree was walked node by node
+    assert main(["train-pixel", "--algo", "rf",
+                 "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"),
+                 "--legend", str(scene_dir / "legend.json"),
+                 "--samples", "150", "--seed", "3",
+                 "--out", str(tmp_path / "rf.json")]) == 0
+    assert main(["predict", "--model", str(tmp_path / "rf.json"),
+                 "--stack", str(scene_dir / "stack"),
+                 "--out", str(tmp_path / "rf")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in ("rf_probs.bin", "rf_labels.bin")}
+    assert digests == {
+        "rf_probs.bin":
+            "dbecde5c862f1c6310c52ff674d0ba851ba2e44dc955f433aee26ea463451ad8",
+        "rf_labels.bin":
+            "cdf29f4c3aada3b7b2605918563f1a1471088300bed70a69cde63c814dab1945",
+    }
 
 
 def test_experiment_determinism(tmp_path):

@@ -1,7 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landseg import (
     RandomForest, SvmClassifier, cart_train, gini, permutation_importance,
@@ -9,6 +12,8 @@ from landseg import (
 )
 from landseg.classical.svm import PairModel
 from landseg.classical.tree import DecisionTree
+from landseg.sampling import stratified_sample
+from landseg.synth import SceneSpec, default_legend, generate_scene
 
 
 def blobs(rng, n_per_class=100, centers=((0, 0), (6, 6)), spread=1.0):
@@ -427,3 +432,188 @@ def test_predict_is_argmax_of_predict_proba(kind, hand, tied_labels, rng):
     x = rng.normal(1.5, 2.5, size=(300, 2))
     assert np.array_equal(model.predict(x),
                           np.argmax(model.predict_proba(x), axis=1))
+
+
+# ------------------------------------------------------------ forest votes
+
+def _tree_votes(forest, x):
+    """Vote fractions from DecisionTree.predict, one tree at a time."""
+    votes = np.zeros((x.shape[0], forest.n_classes))
+    for tree in forest.trees:
+        votes[np.arange(x.shape[0]), tree.predict(x)] += 1.0
+    return votes / forest.n_trees
+
+
+def _walk_votes(forest, x):
+    """Vote fractions from walking each tree one row at a time."""
+    votes = np.zeros((x.shape[0], forest.n_classes))
+    for tree in forest.trees:
+        for r, row in enumerate(x):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            votes[r, np.argmax(tree.hist[node])] += 1.0
+    return votes / forest.n_trees
+
+
+def _assert_same_votes(forest, x):
+    probs = forest.predict_proba(x)
+    assert probs.tobytes() == _tree_votes(forest, x).tobytes()
+    assert probs.tobytes() == _walk_votes(forest, x).tobytes()
+    assert np.array_equal(forest.predict(x), np.argmax(probs, axis=1))
+
+
+def _forest_of(trees, n_features):
+    return RandomForest(
+        trees=trees, oob_indices=[np.zeros(0, np.int64)] * len(trees),
+        n_classes=trees[0].n_classes, n_features=n_features, n_rows=0,
+        seed=0, mtry=1, min_leaf=1)
+
+
+def _random_tree(rng, n_splits, n_features, n_classes, values):
+    """A tree grown by splitting random leaves, its children numbered in
+    either order."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    leaves = [0]
+    for _ in range(n_splits):
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        kids = [len(feature), len(feature) + 1]
+        rng.shuffle(kids)
+        feature[node] = int(rng.integers(n_features))
+        threshold[node] = float(rng.choice(values))
+        left[node], right[node] = kids
+        for lst, value in ((feature, -1), (threshold, 0.0), (left, -1),
+                           (right, -1)):
+            lst += [value, value]
+        leaves += kids
+    return DecisionTree(
+        feature=np.array(feature), threshold=np.array(threshold),
+        left=np.array(left), right=np.array(right),
+        hist=rng.integers(0, 3, size=(len(feature), n_classes)),
+        n_classes=n_classes)
+
+
+def _comb(n_leaves, feature, n_classes):
+    """x[feature] <= i sends a row to leaf i, for i < n_leaves - 1."""
+    n = 2 * n_leaves - 1
+    inner = np.arange(0, n - 1, 2)
+    feat = np.full(n, -1)
+    feat[inner] = feature
+    thr = np.zeros(n)
+    thr[inner] = np.arange(inner.size, dtype=float)
+    left, right = np.full(n, -1), np.full(n, -1)
+    left[inner], right[inner] = inner + 1, inner + 2
+    hist = np.zeros((n, n_classes), dtype=np.int64)
+    hist[np.arange(n), np.arange(n) % n_classes] = 1
+    return DecisionTree(feature=feat, threshold=thr, left=left, right=right,
+                        hist=hist, n_classes=n_classes)
+
+
+def test_forest_votes_match_walks_on_hand_built_forest():
+    # a root leaf, a 100-leaf comb on feature 0 (thresholds 0..98), a
+    # stump that repeats its threshold 3 with the children numbered right
+    # first, and a 3-leaf tree on features 1 and 0; none splits on 2
+    root = DecisionTree(feature=np.array([-1]), threshold=np.array([0.0]),
+                        left=np.array([-1]), right=np.array([-1]),
+                        hist=np.array([[0, 0, 2]]), n_classes=3)
+    stump = DecisionTree(feature=np.array([0, -1, -1]),
+                         threshold=np.array([3.0, 0, 0]),
+                         left=np.array([2, -1, -1]),
+                         right=np.array([1, -1, -1]),
+                         hist=np.array([[1, 1, 1], [0, 4, 0], [5, 0, 0]]),
+                         n_classes=3)
+    small = DecisionTree(feature=np.array([1, -1, 0, -1, -1]),
+                         threshold=np.array([-0.5, 0, 0.5, 0, 0]),
+                         left=np.array([1, -1, 3, -1, -1]),
+                         right=np.array([2, -1, 4, -1, -1]),
+                         hist=np.array([[1, 1, 1], [0, 2, 2], [1, 0, 0],
+                                        [0, 0, 3], [2, 2, 0]]),
+                         n_classes=3)
+    trees = [root, _comb(100, 0, 3), stump, small]
+    assert int((trees[1].feature < 0).sum()) > 64
+    edges = [-np.inf, -1.0, -0.5, 0.0, 0.5, 3.0, 3.5, 98.0, 99.0, np.inf,
+             np.nan]
+    grid = np.array(np.meshgrid(edges, edges, [0.0, np.nan])).reshape(3, -1)
+    _assert_same_votes(_forest_of(trees, 3), grid.T)
+    _assert_same_votes(_forest_of([root], 3), grid.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(1, 6),
+       splits=st.integers(0, 140), n_features=st.integers(1, 4),
+       n_classes=st.integers(1, 4))
+def test_forest_votes_match_walks(seed, n_trees, splits, n_features,
+                                  n_classes):
+    # thresholds drawn from a few values repeat within and across trees,
+    # and rows drawn from them sit exactly at a threshold; the last column
+    # is split on by no tree
+    rng = np.random.default_rng(seed)
+    values = np.array([-np.inf, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, np.inf])
+    trees = [_random_tree(rng, int(rng.integers(splits + 1)), n_features,
+                          n_classes, values) for _ in range(n_trees)]
+    x = np.where(rng.random((60, n_features + 1)) < 0.7,
+                 rng.choice(np.r_[values, np.nan], (60, n_features + 1)),
+                 rng.uniform(-1.5, 1.5, (60, n_features + 1)))
+    _assert_same_votes(_forest_of(trees, n_features + 1), x)
+
+
+def test_forest_votes_independent_of_groups_and_blocks(monkeypatch):
+    # one tree per group, and blocks that leave a short last block
+    from landseg.classical import forest as forest_mod
+    forest = GROWN["rf_ties"]()
+    x = np.r_[X7_TIES[:50], X7[:50]]
+    want = _tree_votes(forest, x)
+    monkeypatch.setattr(forest_mod, "VOTE_TABLE_BYTES", 1)
+    monkeypatch.setattr(forest_mod, "VOTE_CELLS", 7)
+    assert forest.predict_proba(x).tobytes() == want.tobytes()
+
+
+def _set_node(key, node, value):
+    def edit(doc):
+        doc[key][node] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set_node("threshold", 0, float("nan")), "'threshold' holds NaN"),
+    (_set_node("left", 0, 0), "do not form a tree"),       # a cycle
+    (_set_node("right", 0, 1), "do not form a tree"),      # a shared child
+    (_set_node("left", 0, 9), "do not form a tree"),       # no such node
+    (_set_node("feature", 1, 0), "do not form a tree"),    # children of 1
+    (lambda doc: doc["left"].pop(), "differ in length"),
+])
+def test_tree_document_must_hold_a_tree(edit, named):
+    doc = _split_tree().to_json()
+    edit(doc)
+    with pytest.raises(ValueError, match=named):
+        DecisionTree.from_json(doc)
+
+
+@pytest.fixture(scope="module")
+def scene_rows():
+    """A 256x256 synth scene: its stack and labels, and its 65,536 rows."""
+    spec = SceneSpec(width=256, height=256, seed=4)
+    stack, labels, _ = generate_scene(spec)
+    return stack, labels, stack.data.reshape(stack.n_bands, -1).T.astype(
+        np.float64)
+
+
+@pytest.mark.parametrize("per_class", [100, 300])
+def test_forest_vote_memory_is_bounded(scene_rows, per_class):
+    # 300 trees on 600 rows, as the pixel_map benchmark trains, and on
+    # 1800 rows, whose trees outgrow one 64-bit mask word
+    stack, labels, x = scene_rows
+    table = stratified_sample(stack, labels, default_legend(6), per_class,
+                              seed=3)
+    forest = rf_train(table.x, table.y, n_classes=6, seed=3, threads=2)
+    most = max(int((t.feature < 0).sum()) for t in forest.trees)
+    assert (most > 64) == (per_class == 300)
+    tracemalloc.start()
+    try:
+        probs = forest.predict_proba(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    assert probs.tobytes() == _tree_votes(forest, x).tobytes()

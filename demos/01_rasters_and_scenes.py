@@ -34,7 +34,7 @@ dem = stack.band("dem")
 for cid in range(6):
     sel = labels.labels == cid
     if sel.any():
-        print(f"  median elevation of {legend.name_of(cid):<20}"
+        print(f"  median elevation of {legend.names[cid]:<20}"
               f" {np.median(dem[sel]):7.1f} m")
 
 # Everything round-trips bit-exactly through the sidecar+binary container.

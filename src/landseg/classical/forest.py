@@ -48,6 +48,16 @@ class RandomForest(JsonDoc):
     min_leaf: int
     oob_error: float | None = None
 
+    def __post_init__(self):
+        for tree in self.trees:
+            if tree.n_classes != self.n_classes:
+                raise ValueError(f"a tree has 'n_classes' {tree.n_classes}, "
+                                 f"the forest {self.n_classes}")
+            if tree.feature.max(initial=-1) >= self.n_features:
+                raise ValueError(f"a tree splits on 'feature' "
+                                 f"{tree.feature.max()}, past the forest's "
+                                 f"{self.n_features} features")
+
     @property
     def n_trees(self) -> int:
         return len(self.trees)

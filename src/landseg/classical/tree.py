@@ -57,6 +57,9 @@ class DecisionTree(JsonDoc):
         if any(a.shape[:1] != (n,) for a in (self.threshold, self.left,
                                               self.right, self.hist)):
             raise ValueError("node arrays differ in length")
+        if self.hist.shape != (n, self.n_classes):
+            raise ValueError(f"'hist' must hold {self.n_classes} class counts "
+                             f"per node, got shape {self.hist.shape}")
         split = np.flatnonzero(self.feature >= 0)
         kids = np.concatenate([self.left[split], self.right[split]])
         if not (np.array_equal(np.sort(kids), np.arange(1, n))

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 input/validation failure, 1 runtime error. All
 randomness flows from --seed; single-threaded runs are byte-reproducible.
-Each stage appends one JSON line to run_manifest.jsonl beside its outputs.
+`main` requires the input files that INPUTS lists for a stage before it
+runs, and once it succeeds appends one JSON line to run_manifest.jsonl
+beside its outputs: the stage, its inputs, its outputs, its effective
+seed, a timestamp and the version. A stage that fails appends nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import (
     TABLE2_SCENE_SIZE, dump_report, render_table2, table2_experiment,
 )
-from .jsondoc import check_object
+from .jsondoc import read_object
 from .models import load_model, predict_map, save_model
 from .nn import (
     TrainConfig,
@@ -51,13 +54,12 @@ from .tiling import TileSplit, extract_tiles, plan_tiles, split_samples
 from .evaluate import argmax_labels, ensemble_average
 
 
-def _append_manifest(near_path, stage, inputs, outputs, seed=None):
+def _append_manifest(near_path, stage, inputs, outputs, seed):
     near = Path(near_path)
     directory = near if near.is_dir() else near.parent
-    directory.mkdir(parents=True, exist_ok=True)
     entry = {
         "stage": stage,
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "inputs": inputs,
         "outputs": [str(o) for o in outputs],
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -67,25 +69,8 @@ def _append_manifest(near_path, stage, inputs, outputs, seed=None):
         fh.write(json.dumps(entry) + "\n")
 
 
-def _require(path, what):
-    candidates = [Path(str(path)), Path(str(path) + ".json")]
-    if not any(c.exists() for c in candidates):
-        raise FileNotFoundError(f"{what} not found: {path}")
-
-
-def _read_settings(path, what, accepted) -> dict:
-    """A JSON object whose keys all lie in `accepted`."""
-    _require(path, what)
-    doc = json.loads(Path(path).read_text())
-    check_object(doc, f"{what} {path}", accepted)
-    return doc
-
-
 def _load_legend(path) -> ClassLegend:
-    if path is None:
-        return default_legend(6)
-    _require(path, "legend")
-    return ClassLegend.load(path)
+    return default_legend(6) if path is None else ClassLegend.load(path)
 
 
 def _prob_raster(probs: np.ndarray, mask: np.ndarray) -> Raster:
@@ -95,6 +80,7 @@ def _prob_raster(probs: np.ndarray, mask: np.ndarray) -> Raster:
 
 
 # ------------------------------------------------------------------ stages
+# Each returns its outputs and its effective seed for the manifest entry.
 
 def cmd_synth(args):
     spec = SceneSpec.load(args.spec) if args.spec else SceneSpec()
@@ -112,47 +98,29 @@ def cmd_synth(args):
     write_labels(labels, out / "labels")
     write_labels(LabelRaster(spec.width, spec.height,
                              cloud.astype(np.uint8)), out / "cloud")
-    _append_manifest(
-        out, "synth", {"spec": args.spec or "<default>"},
-        [out / n for n in ("stack", "spectral", "dem", "labels", "cloud",
-                           "legend.json", "scene_spec.json")],
-        seed=spec.seed,
-    )
     print(f"scene {spec.width}x{spec.height} seed={spec.seed} -> {out}")
-    return 0
+    return [out / n for n in ("stack", "spectral", "dem", "labels", "cloud",
+                              "legend.json", "scene_spec.json")], spec.seed
 
 
 def cmd_preprocess(args):
-    for path, what in ((args.input, "input raster"),
-                       (args.reference, "reference raster"),
-                       (args.dem, "dem raster")):
-        _require(path, what)
     source = read_raster(args.input)
     reference = read_raster(args.reference)
     dem = read_raster(args.dem)
 
     matched, _ = normalize_to_reference(source, reference)
     if args.cloud:
-        _require(args.cloud, "cloud mask")
         cloud = read_labels(args.cloud).labels != 0
         matched = apply_cloud_mask(matched, cloud)
     slope = slope_from_dem(dem, cell_size=args.cell_size)
     stack = stack_bands(matched, dem, slope)
     write_raster(stack, args.out)
-    _append_manifest(
-        args.out, "preprocess",
-        {"input": args.input, "reference": args.reference,
-         "dem": args.dem, "cloud": args.cloud},
-        [args.out],
-    )
     print(f"stack with {stack.n_bands} bands, "
           f"{int(stack.valid_mask.sum())} valid pixels -> {args.out}")
-    return 0
+    return [args.out], None
 
 
 def cmd_tile(args):
-    _require(args.stack, "stack raster")
-    _require(args.labels, "label raster")
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     plan = plan_tiles(stack.width, stack.height,
@@ -160,29 +128,25 @@ def cmd_tile(args):
     samples = split_samples(extract_tiles(stack, labels, plan), seed=args.seed)
     split = TileSplit.of(plan, samples)
     split.save(args.out)
-    _append_manifest(
-        args.out, "tile", {"stack": args.stack, "labels": args.labels},
-        [args.out], seed=args.seed,
-    )
     counts = {tag: len(anchors) for tag, anchors in split.splits.items()}
     print(f"{len(plan.anchors)} anchors, dropped {samples.dropped}, "
           f"splits {counts} -> {args.out}")
-    return 0
+    return [args.out], args.seed
 
 
 def cmd_train_pixel(args):
-    _require(args.stack, "stack raster")
-    _require(args.labels, "label raster")
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
     trainer = {"cart": cart_train, "rf": rf_train, "svm": svm_train}[args.algo]
     params = {}
     if args.params:
-        # the stage sets these itself
-        accepted = set(inspect.signature(trainer).parameters) - {
-            "x", "y", "n_classes", "seed", "threads"}
-        params = _read_settings(args.params, "params file", accepted)
+        # the stage sets x, y, n_classes, seed and threads itself
+        types = {name: (p.annotation, p.default) for name, p in
+                 inspect.signature(trainer).parameters.items()
+                 if name not in {"x", "y", "n_classes", "seed", "threads"}}
+        params = read_object(json.loads(Path(args.params).read_text()),
+                             f"params file {args.params}", types)
 
     table = stratified_sample(stack, labels, legend,
                               n_per_class=args.samples, seed=args.seed)
@@ -193,38 +157,28 @@ def cmd_train_pixel(args):
     except ParamError as exc:
         raise ValueError(f"params file {args.params}: {exc}") from None
     save_model(model, args.out, band_names=stack.bands)
-    _append_manifest(
-        args.out, "train-pixel",
-        {"stack": args.stack, "labels": args.labels, "algo": args.algo},
-        [args.out], seed=args.seed,
-    )
     print(f"{args.algo} model on {len(table)} samples -> {args.out}")
-    return 0
+    return [args.out], args.seed
 
 
 def cmd_train_net(args):
-    _require(args.stack, "stack raster")
-    _require(args.labels, "label raster")
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
-    _require(args.plan, "tile plan")
     split = TileSplit.load(args.plan)
 
     overrides = {}
     if args.config:
-        accepted = ({f.name for f in fields(TrainConfig)}
-                    | {"width", "class_weighting"})
-        overrides = _read_settings(args.config, "train config", accepted)
-    width = overrides.pop("width", NET_DEFAULTS["width"])
+        overrides = read_object(json.loads(Path(args.config).read_text()),
+                                f"train config {args.config}", CONFIG_TYPES)
+    width = overrides.pop("width", NET_SETTINGS["width"][1])
     use_class_weights = overrides.pop("class_weighting",
-                                      NET_DEFAULTS["class_weighting"])
+                                      NET_SETTINGS["class_weighting"][1])
     try:
-        if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-            raise ValueError(f"'width' must be an integer of at least 1, "
-                             f"got {width!r}")
+        if width < 1:
+            raise ValueError(f"'width' must be at least 1, got {width}")
         cfg = default_config(args.arch, **overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"train config {args.config}: {exc}") from None
     if cfg.class_weights is not None and (
             np.shape(cfg.class_weights) != (legend.n_classes,)):
@@ -243,71 +197,55 @@ def cmd_train_net(args):
     net, history = train(net, split.samples(stack, labels), cfg)
     save_network(net, args.out)
     save_history_csv(history, str(args.out) + "_loss.csv")
-    _append_manifest(
-        args.out, "train-net",
-        {"stack": args.stack, "labels": args.labels, "plan": args.plan,
-         "arch": args.arch},
-        [str(args.out) + ".json", str(args.out) + ".bin",
-         str(args.out) + "_loss.csv"],
-        seed=cfg.seed,
-    )
     best = min(h[2] for h in history)
     print(f"{args.arch} trained {len(history)} epochs "
           f"(best val loss {best:.4f}) -> {args.out}")
-    return 0
+    return ([f"{args.out}{ext}" for ext in (".json", ".bin", "_loss.csv")],
+            cfg.seed)
 
 
 def cmd_predict(args):
-    _require(args.stack, "stack raster")
     stack = read_raster(args.stack)
     model = load_model(args.model, n_bands=stack.n_bands)
-    plan = None
-    if args.plan is not None:
-        _require(args.plan, "tile plan")
-        plan = TileSplit.load(args.plan).plan
+    plan = None if args.plan is None else TileSplit.load(args.plan).plan
     label_map, probs = predict_map(model, stack, plan)
     write_labels(label_map, str(args.out) + "_labels")
     write_raster(_prob_raster(probs, stack.valid_mask),
                  str(args.out) + "_probs")
-    _append_manifest(
-        args.out, "predict", {"model": args.model, "stack": args.stack},
-        [str(args.out) + "_labels", str(args.out) + "_probs"],
-    )
     print(f"prediction -> {args.out}_labels / {args.out}_probs")
-    return 0
+    return [str(args.out) + "_labels", str(args.out) + "_probs"], None
 
 
 def cmd_ensemble(args):
     maps = []
     mask = None
     for stem in args.probs:
-        _require(stem, "probability raster")
         r = read_raster(stem)
+        shape = f"{r.width}x{r.height}, {r.n_bands} classes"
+        if mask is None:
+            first, mask = shape, r.valid_mask
+        elif shape != first:
+            raise ValueError(f"probability rasters {args.probs[0]} ({first}) "
+                             f"and {stem} ({shape}) differ")
+        else:
+            mask = mask & r.valid_mask
         maps.append(r.data.astype(np.float64))
-        mask = r.valid_mask if mask is None else (mask & r.valid_mask)
     merged = ensemble_average(maps)
     labels = argmax_labels(merged)
     labels.labels[~mask] = 255
     write_raster(_prob_raster(merged, mask), str(args.out) + "_probs")
     write_labels(labels, str(args.out) + "_labels")
-    _append_manifest(
-        args.out, "ensemble", {"probs": ",".join(map(str, args.probs))},
-        [str(args.out) + "_labels", str(args.out) + "_probs"],
-    )
     print(f"ensemble of {len(maps)} -> {args.out}_labels / {args.out}_probs")
-    return 0
+    return [str(args.out) + "_labels", str(args.out) + "_probs"], None
 
 
 def cmd_evaluate(args):
-    _require(args.pred, "prediction")
     legend = _load_legend(args.legend)
     pred = read_labels(args.pred, legend=legend)
     if str(args.truth).endswith(".csv"):
-        _require(args.truth, "truth points")
         truth = GroundPointSet.load(args.truth)
         truth.validate(pred.width, pred.height, legend)
     else:
-        _require(args.truth, "truth labels")
         truth = read_labels(args.truth, legend=legend)
     cm = confusion_from(truth, pred, legend.n_classes)
     rep = build_report(cm, legend, provenance={
@@ -315,12 +253,8 @@ def cmd_evaluate(args):
     })
     rep.save(args.out)
     cm.save_csv(str(args.out) + ".cm.csv", legend)
-    _append_manifest(
-        args.out, "evaluate", {"pred": args.pred, "truth": args.truth},
-        [args.out, str(args.out) + ".cm.csv"],
-    )
     print(render_table(rep))
-    return 0
+    return [args.out, str(args.out) + ".cm.csv"], None
 
 
 def cmd_experiment(args):
@@ -336,20 +270,40 @@ def cmd_experiment(args):
         option = TABLE2_OPTIONS.get(exc.key, exc.key)
         raise ValueError(f"{option}: {exc}") from None
     Path(args.out).write_text(dump_report(rep))
-    _append_manifest(
-        args.out, "experiment-table2", {}, [args.out], seed=args.seed,
-    )
     print(render_table2(rep))
-    return 0
+    return [args.out], args.seed
 
 
 # ------------------------------------------------------------------ parser
 
-# train-net --config keys that are not TrainConfig fields, and their defaults
-NET_DEFAULTS = {
-    "width": inspect.signature(build_network).parameters["width"].default,
-    "class_weighting": True,
+# Each stage's input file options, and the noun that names a missing one;
+# an option left unset is not required. Names, not functions, so that a
+# function patched after import is still the one that runs.
+INPUTS = {
+    "synth": {"spec": "scene spec"},
+    "preprocess": {"input": "input raster", "reference": "reference raster",
+                   "dem": "dem raster", "cloud": "cloud mask"},
+    "tile": {"stack": "stack raster", "labels": "label raster"},
+    "train-pixel": {"stack": "stack raster", "labels": "label raster",
+                    "legend": "legend", "params": "params file"},
+    "train-net": {"stack": "stack raster", "labels": "label raster",
+                  "legend": "legend", "plan": "tile plan",
+                  "config": "train config"},
+    "predict": {"model": "model", "stack": "stack raster",
+                "plan": "tile plan"},
+    "ensemble": {"probs": "probability raster"},
+    "evaluate": {"pred": "prediction", "truth": "truth labels or points",
+                 "legend": "legend"},
+    "experiment": {},
 }
+# train-net --config keys that are not TrainConfig fields: (type, default)
+NET_SETTINGS = {
+    "width": ("int",
+              inspect.signature(build_network).parameters["width"].default),
+    "class_weighting": ("bool", True),
+}
+CONFIG_TYPES = {**{f.name: (f.type, f.default) for f in fields(TrainConfig)},
+                **NET_SETTINGS}
 # table2_experiment parameters set by an experiment option of the same name
 TABLE2_OPTIONS = {"n_scenes": "--scenes", "n_per_class": "--n-per-class",
                   "svm_per_class": "--svm-per-class", "n_trees": "--trees"}
@@ -414,7 +368,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON object of TrainConfig fields, " + " and ".join(
                        f"{key} (default {json.dumps(value)})"
-                       for key, value in NET_DEFAULTS.items()))
+                       for key, (_, value) in NET_SETTINGS.items()))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="weights path stem")
     p.set_defaults(func=cmd_train_net)
@@ -458,16 +412,30 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-VALIDATION_ERRORS = (
-    ValueError, FileNotFoundError, KeyError, json.JSONDecodeError,
-)
+VALIDATION_ERRORS = (ValueError, FileNotFoundError, KeyError)
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    stage = args.command
+    if stage == "experiment":
+        stage += "-" + args.protocol
     try:
-        return args.func(args)
+        inputs = {}
+        for option, what in INPUTS[args.command].items():
+            given = getattr(args, option)
+            if given is None:
+                continue
+            paths = given if isinstance(given, list) else [given]
+            for path in paths:  # a file, or a stem of path.json
+                if not (Path(path).exists()
+                        or Path(path + ".json").exists()):
+                    raise FileNotFoundError(f"{what} not found: {path}")
+            inputs[option] = ",".join(paths)
+        outputs, seed = args.func(args)
+        _append_manifest(args.out, stage, inputs, outputs, seed)
+        return 0
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,9 +35,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(counts=self.counts + other.counts)
-
     def save_csv(self, path, legend: ClassLegend | None = None):
         names = (
             legend.names if legend is not None

@@ -7,7 +7,8 @@ allows None or its default is None. A field annotated int, float, bool or
 str must hold a JSON value of that type (a bool is not a number, and a
 float field accepts an int). A document must hold every
 field, unless its class sets `partial`: then a field left out keeps its
-default.
+default. `read_object` holds a settings object, whose keys are typed by
+annotations, to the same rules.
 """
 
 from __future__ import annotations
@@ -88,21 +89,25 @@ def check_object(doc, name, known):
                          f"(accepted: {', '.join(sorted(known))})")
 
 
-def _check_type(name, f, value):
-    """Raise ValueError unless value is null only where f may be null (its
-    annotation allows None or its default is None), and fits f's type if
-    that is int, float, bool or str."""
-    base, *rest = str(f.type).split(" | ")  # a postponed annotation
-    if value is None:
-        if rest == ["None"] or f.default is None:
-            return
-        raise ValueError(f"{name} {f.name!r} may not be null")
-    if base in _SCALARS:
-        types, what = _SCALARS[base]
-        if isinstance(value, bool) != (base == "bool") or not isinstance(
-                value, types):
-            raise ValueError(f"{name} {f.name!r} must be {what}, "
-                             f"got {reprlib.repr(value)}")
+def read_object(doc, name, types) -> dict:
+    """The keys that doc holds, each value held to the field rules above by
+    types[key], an (annotation, default) pair; raise ValueError unless doc
+    is a JSON object with keys among types."""
+    check_object(doc, name, types)
+    for key, value in doc.items():
+        annotation, default = types[key]
+        base, *rest = str(annotation).split(" | ")  # a postponed annotation
+        if value is None:
+            if rest == ["None"] or default is None:
+                continue
+            raise ValueError(f"{name} {key!r} may not be null")
+        if base in _SCALARS:
+            kinds, what = _SCALARS[base]
+            if isinstance(value, bool) != (base == "bool") or not isinstance(
+                    value, kinds):
+                raise ValueError(f"{name} {key!r} must be {what}, "
+                                 f"got {reprlib.repr(value)}")
+    return dict(doc)
 
 
 class JsonDoc:
@@ -117,7 +122,8 @@ class JsonDoc:
     def from_json(cls, doc):
         name = cls.__name__
         known = fields(cls)
-        check_object(doc, name, [f.name for f in known])
+        doc = read_object(doc, name, {f.name: (f.type, f.default)
+                                      for f in known})
         kwargs = {}
         for f in known:
             if f.name not in doc:
@@ -128,7 +134,6 @@ class JsonDoc:
                                      f"field (a {f.name!r} {kind} is required)")
                 continue
             value = doc[f.name]
-            _check_type(name, f, value)
             decode = f.metadata.get(_DECODE)
             if decode is not None and value is not None:
                 try:

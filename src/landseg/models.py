@@ -78,7 +78,10 @@ def load_model(path, n_bands=None):
         trained = model.mean.size
     else:  # a tree keeps no band count; its document keeps the bands
         names = doc.get("band_names")
-        trained = len(names) if isinstance(names, list) else None
+        trained = len(names) if isinstance(names, list) else n_bands
+        if trained is not None and model.feature.max(initial=-1) >= trained:
+            raise ValueError(f"{doc_path}: the tree splits on 'feature' "
+                             f"{model.feature.max()} of {trained} bands")
     if None not in (n_bands, trained) and trained != n_bands:
         raise ValueError(f"{doc_path}: model was trained on {trained} "
                          f"bands, the stack has {n_bands}")

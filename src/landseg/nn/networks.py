@@ -89,10 +89,6 @@ class _ConvParams:
             c.dw = np.zeros_like(c.w)
             c.db = np.zeros_like(c.b)
 
-    @property
-    def n_params(self) -> int:
-        return sum(c.w.size + c.b.size for c in self.convs)
-
 
 class PyramidPool(_ConvParams):
     """Multi-bin global-context block: per bin, average-pool to b x b,

@@ -39,13 +39,10 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)!r}")
 
     def make_optimizer(self):
         if self.optimizer == "adam":

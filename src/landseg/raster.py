@@ -78,11 +78,6 @@ class ClassLegend(JsonDoc):
     def names(self) -> list:
         return [c.name for c in self.classes]
 
-    def name_of(self, class_id: int) -> str:
-        if class_id == self.nodata_id:
-            return "nodata"
-        return self.classes[class_id].name
-
 
 def default_legend(n_classes: int = 7) -> ClassLegend:
     """Legend over the first n_classes default class names."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class ClassWeights:
     weights: np.ndarray
     present: np.ndarray  # boolean; False marks zero-pixel classes (weight 0)
 
-    @property
-    def absent_classes(self) -> list:
-        return [int(i) for i in np.flatnonzero(~self.present)]
-
 
 def class_weights(labels: LabelRaster, legend: ClassLegend) -> ClassWeights:
     """Reciprocal of each class's share of the non-nodata area.
@@ -76,45 +71,14 @@ def class_weights(labels: LabelRaster, legend: ClassLegend) -> ClassWeights:
 
 @dataclass
 class FeatureTable:
-    """Per-pixel feature rows with a class id column; CSV-interchangeable."""
+    """Per-pixel feature rows with a class id column."""
 
     x: np.ndarray          # (n, d) float64
     y: np.ndarray          # (n,) int64 class ids
-    band_names: list
     positions: np.ndarray | None = None  # (n, 2) row/col, when sampled
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def save_csv(self, path):
-        header = ",".join(list(self.band_names) + ["class_id"])
-        rows = [header]
-        for xi, yi in zip(self.x, self.y):
-            rows.append(",".join(repr(float(v)) for v in xi) + f",{int(yi)}")
-        Path(path).write_text("\n".join(rows) + "\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "FeatureTable":
-        lines = Path(path).read_text().rstrip().splitlines()
-        header = lines[0].split(",")
-        if header[-1] != "class_id":
-            raise ValueError("feature CSV must end with a class_id column")
-        x, y = [], []
-        for n, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{path} line {n}: {len(parts)} values, "
-                                 f"expected {len(header)}")
-            try:
-                x.append([float(v) for v in parts[:-1]])
-                y.append(int(parts[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {n}: {exc}") from None
-        return cls(
-            x=np.asarray(x, dtype=np.float64),
-            y=np.asarray(y, dtype=np.int64),
-            band_names=header[:-1],
-        )
 
 
 def stratified_sample(
@@ -153,4 +117,4 @@ def stratified_sample(
         x = np.concatenate(rows_x)
         y = np.concatenate(rows_y)
         pos = np.concatenate(rows_pos)
-    return FeatureTable(x=x, y=y, band_names=list(r.bands), positions=pos)
+    return FeatureTable(x=x, y=y, positions=pos)

@@ -521,6 +521,14 @@ def _set(*path, value):
     return edit
 
 
+def _tree(feature=(0, -1, -1), hist=((1, 1), (1, 0), (0, 1)), n_classes=2):
+    """Edit that makes the forest's first tree one split over two leaves."""
+    return _set("model", "trees", 0, value={
+        "feature": list(feature), "threshold": [0.5, 0, 0],
+        "left": [1, -1, -1], "right": [2, -1, -1], "hist": list(hist),
+        "n_classes": n_classes, "min_leaf": 1, "max_depth": None})
+
+
 def _retag(doc):
     doc["splits"]["bogus"] = doc["splits"].pop("test")
 
@@ -581,6 +589,13 @@ def _case(id, file, edit, *named):
     _case("net-unknown-key", "net.json", _set("extra", value=1),
           "unknown key 'extra'"),
     _case("net-arch", "net.json", _set("arch", value="resnet"), "'arch'"),
+    _case("rf-feature", "rf.json", _tree(feature=[9, -1, -1]), "'feature'",
+          "9"),
+    _case("rf-hist", "rf.json", _tree(hist=[[1, 1, 0], [1, 0, 0], [0, 1, 0]]),
+          "'hist'"),
+    _case("rf-tree-n_classes", "rf.json",
+          _tree(hist=[[1, 1, 0], [0, 0, 1], [0, 1, 0]], n_classes=3),
+          "'n_classes' 3"),
 ])
 def test_malformed_document_names_file_and_key(scene_dir, documents,
                                                tmp_path, capsys, file, edit,
@@ -711,6 +726,9 @@ def _train_net_with_config(scene_dir, tmp_path, config):
     ({"epochs": 1.5}, "epochs"),
     ({"epochs": 1, "width": 4.5}, "'width'"),
     ({"epochs": 1, "width": 0}, "'width'"),
+    ({"epochs": 1, "lr": "abc"}, "'lr'"),
+    ({"epochs": 1, "class_weighting": 1}, "'class_weighting'"),
+    ({"epochs": 1, "optimizer": 3}, "'optimizer'"),
 ])
 def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
                                       named):
@@ -843,3 +861,170 @@ def test_train_pixel_default_model_is_pinned(scene_dir, tmp_path, algo,
     assert _train_pixel(scene_dir, tmp_path, algo) == 0
     data = (tmp_path / f"{algo}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+MANIFEST_KEYS = {"stage", "inputs", "outputs", "seed", "timestamp", "version"}
+
+
+def _manifest_lines(directory):
+    path = directory / "run_manifest.jsonl"
+    return path.read_text().splitlines() if path.exists() else []
+
+
+def _run_recorded(directory, argv, inputs, seed):
+    """Run one stage; check it appended one entry naming its inputs, its
+    existing outputs and its effective seed."""
+    before = _manifest_lines(directory)
+    assert main(argv) == 0
+    lines = _manifest_lines(directory)
+    assert lines[:-1] == before and len(lines) == len(before) + 1
+    entry = json.loads(lines[-1])
+    assert set(entry) == MANIFEST_KEYS
+    assert entry["stage"].startswith(argv[0])
+    for option, path in inputs.items():
+        assert entry["inputs"][option] == path
+    assert entry["seed"] == seed
+    for out in entry["outputs"]:
+        assert Path(out).exists() or Path(out + ".json").exists(), out
+    return entry
+
+
+def test_each_stage_appends_one_manifest_entry(tmp_path):
+    def p(name):
+        return str(tmp_path / name)
+
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"width": 128, "height": 128, "cloud_fraction": 0.02}))
+    stages = [
+        (["synth", "--spec", p("spec.json"), "--seed", "21",
+          "--out", str(tmp_path)], {"spec": p("spec.json")}, 21),
+        (["preprocess", "--in", p("spectral"), "--reference", p("spectral"),
+          "--dem", p("dem"), "--cloud", p("cloud"), "--out", p("prep")],
+         {"input": p("spectral"), "reference": p("spectral"),
+          "dem": p("dem"), "cloud": p("cloud")}, None),
+        (["tile", "--stack", p("stack"), "--labels", p("labels"),
+          "--patch", "64", "--seed", "5", "--out", p("plan.json")],
+         {"stack": p("stack"), "labels": p("labels")}, 5),
+        (["train-pixel", "--algo", "cart", "--stack", p("stack"),
+          "--labels", p("labels"), "--samples", "20", "--seed", "3",
+          "--out", p("cart.json")],
+         {"stack": p("stack"), "labels": p("labels")}, 3),
+        (["train-net", "--arch", "psp_mini", "--stack", p("stack"),
+          "--labels", p("labels"), "--plan", p("plan.json"), "--seed", "2",
+          "--out", p("net")],
+         {"stack": p("stack"), "labels": p("labels"),
+          "plan": p("plan.json")}, 2),
+        (["predict", "--model", p("cart.json"), "--stack", p("stack"),
+          "--out", p("cart")],
+         {"model": p("cart.json"), "stack": p("stack")}, None),
+        (["ensemble", "--probs", p("cart_probs"), p("cart_probs"),
+          "--out", p("merged")],
+         {"probs": p("cart_probs") + "," + p("cart_probs")}, None),
+        (["evaluate", "--pred", p("merged_labels"), "--truth", p("labels"),
+          "--out", p("report.json")],
+         {"pred": p("merged_labels"), "truth": p("labels")}, None),
+        (["experiment", "table2", "--seed", "13", "--scenes", "1",
+          "--n-per-class", "20", "--algos", "cart", "--scene-size", "128",
+          "--out", p("table2.json")], {}, 13),
+    ]
+    for argv, inputs, seed in stages:
+        _run_recorded(tmp_path, argv, inputs, seed)
+    assert len(_manifest_lines(tmp_path)) == len(stages)
+
+    # a stage that exits 2 appends nothing
+    (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 0}))
+    for argv in (["tile", "--stack", p("nope"), "--labels", p("labels"),
+                  "--out", p("plan2.json")],
+                 ["train-net", "--arch", "psp_mini", "--stack", p("stack"),
+                  "--labels", p("labels"), "--plan", p("plan.json"),
+                  "--config", p("cfg.json"), "--out", p("net2")]):
+        assert main(argv) == 2
+    assert len(_manifest_lines(tmp_path)) == len(stages)
+
+
+def test_cart_feature_past_its_bands_is_named(scene_dir, tmp_path, capsys):
+    assert _train_pixel(scene_dir, tmp_path, "cart") == 0
+    doc = json.loads((tmp_path / "cart.json").read_text())
+    doc["model"]["feature"][0] = 9
+    (tmp_path / "cart.json").write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(tmp_path / "cart.json"),
+                 "--stack", str(scene_dir / "stack"),
+                 "--out", str(tmp_path / "pred")]) == 2
+    err = capsys.readouterr().err
+    assert "cart.json" in err and "'feature' 9 of 7 bands" in err, err
+    assert not list(tmp_path.glob("pred*"))
+
+
+def test_each_stage_records_its_optional_inputs(scene_dir, tmp_path):
+    def s(name):
+        return str(scene_dir / name)
+
+    def p(name):
+        return str(tmp_path / name)
+
+    (tmp_path / "params.json").write_text(json.dumps({"min_leaf": 3}))
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"epochs": 1, "width": 4, "seed": 9}))
+    _run_recorded(tmp_path, [
+        "tile", "--stack", s("stack"), "--labels", s("labels"),
+        "--patch", "64", "--out", p("plan.json")], {}, 0)
+    _run_recorded(tmp_path, [
+        "train-pixel", "--algo", "cart", "--stack", s("stack"),
+        "--labels", s("labels"), "--legend", s("legend.json"),
+        "--params", p("params.json"), "--samples", "20",
+        "--out", p("cart.json")],
+        {"legend": s("legend.json"), "params": p("params.json")}, 0)
+    # without --seed the config's seed is the effective one
+    _run_recorded(tmp_path, [
+        "train-net", "--arch", "psp_mini", "--stack", s("stack"),
+        "--labels", s("labels"), "--legend", s("legend.json"),
+        "--plan", p("plan.json"), "--config", p("cfg.json"),
+        "--out", p("net")],
+        {"legend": s("legend.json"), "config": p("cfg.json")}, 9)
+    _run_recorded(tmp_path, [
+        "predict", "--model", p("net"), "--stack", s("stack"),
+        "--plan", p("plan.json"), "--out", p("net")],
+        {"model": p("net"), "plan": p("plan.json")}, None)
+    entry = _run_recorded(tmp_path, [
+        "evaluate", "--pred", p("net_labels"), "--truth", s("labels"),
+        "--legend", s("legend.json"), "--out", p("report.json")],
+        {"legend": s("legend.json")}, None)
+    assert set(entry["inputs"]) == {"pred", "truth", "legend"}
+
+
+@pytest.mark.parametrize("option, value, noun", [
+    ("--legend", "nope.json", "legend not found"),
+    ("--params", "nope.json", "params file not found"),
+])
+def test_optional_input_is_required_when_given(scene_dir, tmp_path, capsys,
+                                               option, value, noun):
+    assert main(["train-pixel", "--algo", "cart",
+                 "--stack", str(scene_dir / "stack"),
+                 "--labels", str(scene_dir / "labels"),
+                 option, str(tmp_path / value),
+                 "--out", str(tmp_path / "cart.json")]) == 2
+    assert noun in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _probs_raster(path, width, height, k):
+    data = np.full((k, height, width), 1.0 / k, dtype=np.float32)
+    write_raster(Raster(width, height, [f"prob_{i}" for i in range(k)], data,
+                        np.ones((height, width), dtype=bool)), path)
+
+
+@pytest.mark.parametrize("shape_b, named", [
+    ((16, 8, 3), ["a (8x8, 3 classes)", "b (16x8, 3 classes)"]),
+    ((8, 8, 4), ["a (8x8, 3 classes)", "b (8x8, 4 classes)"]),
+])
+def test_ensemble_names_both_rasters_that_differ(tmp_path, capsys, shape_b,
+                                                 named):
+    _probs_raster(tmp_path / "a", 8, 8, 3)
+    _probs_raster(tmp_path / "b", *shape_b)
+    assert main(["ensemble", "--probs", str(tmp_path / "a"),
+                 str(tmp_path / "b"), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    for word in named:
+        assert word in err, err
+    assert not list(tmp_path.glob("m*"))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landseg import (
-    FeatureTable,
     LabelRaster,
     augment,
     class_weights,
@@ -86,7 +85,7 @@ def test_class_weights_absent_class():
     labels = np.zeros((4, 4), np.uint8)
     cw = class_weights(LabelRaster(4, 4, labels), default_legend(3))
     assert cw.weights[1] == 0.0 and cw.weights[2] == 0.0
-    assert cw.absent_classes == [1, 2]
+    assert cw.present.tolist() == [True, False, False]
     assert cw.weights[0] == 1.0
 
 
@@ -144,25 +143,3 @@ def test_stratified_skips_nodata_and_masked(rng):
     for (row, col), cid in zip(pos, t.y):
         assert r.valid_mask[row, col]
         assert l.labels[row, col] == cid
-
-
-def test_feature_table_csv_round_trip(tmp_path, rng):
-    r = random_raster(rng, 8, 8, n_bands=2)
-    l = random_labels(rng, 8, 8, n_classes=3)
-    t = stratified_sample(r, l, default_legend(3), n_per_class=5, seed=1)
-    t.save_csv(tmp_path / "t.csv")
-    back = FeatureTable.load_csv(tmp_path / "t.csv")
-    assert back.band_names == t.band_names
-    assert np.array_equal(back.x, t.x)
-    assert np.array_equal(back.y, t.y)
-
-
-@pytest.mark.parametrize("row, named", [
-    ("1.0,2", "line 3: 2 values, expected 3"),
-    ("1.0,x,2", "line 3: could not convert"),
-    ("1.0,2.0,y", "line 3: invalid literal"),
-])
-def test_feature_table_csv_names_bad_line(tmp_path, row, named):
-    (tmp_path / "t.csv").write_text(f"a,b,class_id\n0.5,1.5,0\n{row}\n")
-    with pytest.raises(ValueError, match=f"t.csv {named}"):
-        FeatureTable.load_csv(tmp_path / "t.csv")

@@ -1,9 +1,12 @@
-"""Every import in a landseg module is used there.
+"""Every import in a landseg module is used there, and every public
+function, class and method is named somewhere: in a landseg module, in
+the benchmark or in the acceptance tests.
 
 The package __init__ modules are skipped: their imports are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,10 @@ import landseg
 
 SRC = Path(landseg.__file__).parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = SRC.parents[1]
+# where a public name must be used: other tests do not keep it alive
+CALLERS = MODULES + sorted((ROOT / "bench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -59,3 +66,61 @@ def test_detector_flags_unused_and_keeps_used():
         "    return dataclass, 'field'\n"
     )
     assert unused_imports(source) == [(2, "json"), (4, "field")]
+
+
+def public_defs(source: str) -> list:
+    """Public top-level functions and classes, and Class.method names."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)]
+    return [name for name in out if not name.rpartition(".")[2]
+            .startswith("_")]
+
+
+def names_used(source: str) -> set:
+    """Identifiers a module reads, imports or spells in a string (such as
+    the tracer's "Class.method" keys); docstrings do not count."""
+    tree = ast.parse(source)
+    docs = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            used |= set(re.findall(r"\w+", node.value))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = set().union(*(names_used(p.read_text()) for p in CALLERS))
+    unused = [f"{p.relative_to(SRC)}: {name}" for p in MODULES
+              for name in public_defs(p.read_text())
+              if name.rpartition(".")[2] not in used]
+    assert unused == []
+
+
+def test_public_name_detector():
+    source = (
+        "class A:\n"
+        "    def kept(self):\n"
+        "        return self.named_in_string()\n"
+        "    def dropped(self):\n"
+        "        'dropped is only in this docstring'\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return A().kept(), 'A.named_in_string'\n"
+    )
+    assert public_defs(source) == ["A", "A.kept", "A.dropped", "helper"]
+    used = names_used(source)
+    assert {"A", "kept", "named_in_string"} <= used
+    assert not {"dropped", "helper", "only"} & used

@@ -4,6 +4,10 @@ Multiclass is one-vs-one: each class pair gets its own binary SMO problem
 (+1 for the lower class id) and prediction is by pair voting with ties to
 the lowest class id. Features are standardized internally before training
 for SMO conditioning; the transform is stored with the model.
+
+Prediction evaluates one kernel over the distinct support vectors of all
+pairs (LIBSVM's layout, Chang & Lin 2011), KERNEL_CELLS (row, support
+vector) cells at a time, and each pair reads its own columns of it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,18 @@ import numpy as np
 
 from ..jsondoc import JsonDoc, as_array, doc_field, list_of
 from .params import check_params
+
+KERNEL_CELLS = 1 << 16  # (row, support vector) cells per block of kernel rows
+# Kernel blocks start at multiples of BLOCK_ALIGN rows. BLAS matrix-vector
+# kernels treat a row by its place in a group of a few rows, so aligned
+# blocks give each row the decision value of one call over all rows.
+BLOCK_ALIGN = 64
+
+
+def _require_finite(**values):
+    for key, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key!r} holds a value that is not finite")
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -102,8 +118,13 @@ class PairModel(JsonDoc):
     bias: float
     kkt_violation: float
 
-    def decision(self, x_std: np.ndarray, gamma: float) -> np.ndarray:
-        return rbf_kernel(x_std, self.sv, gamma) @ self.coef + self.bias
+    def __post_init__(self):
+        _require_finite(sv=self.sv, coef=self.coef, bias=self.bias)
+        if self.sv.ndim != 2 or self.coef.shape != self.sv.shape[:1]:
+            raise ValueError(
+                f"'sv' of shape {self.sv.shape} and 'coef' of shape "
+                f"{self.coef.shape} do not hold one row and one "
+                "coefficient per support vector")
 
 
 @dataclass
@@ -115,6 +136,38 @@ class SvmClassifier(JsonDoc):
     C: float = 300.0
     gamma: float = 0.1
     tol: float = 1e-3
+
+    def __post_init__(self):
+        check_params(C=self.C, gamma=self.gamma, tol=self.tol)
+        _require_finite(mean=self.mean, std=self.std)
+        d = self.mean.size
+        if self.mean.shape != (d,) or self.std.shape != (d,):
+            raise ValueError(f"'mean' and 'std' must hold one value per "
+                             f"band, got shapes {self.mean.shape} and "
+                             f"{self.std.shape}")
+        if (self.std <= 0).any():
+            raise ValueError(f"'std' must be positive, got "
+                             f"{self.std.min()}")
+        if self.n_classes < 2:
+            raise ValueError(f"'n_classes' must be at least 2, "
+                             f"got {self.n_classes}")
+        if not self.pairs:
+            raise ValueError("'pairs' is empty; a model needs at least one "
+                             "one-vs-one pair")
+        for pm in self.pairs:
+            for key in ("class_pos", "class_neg"):
+                if not 0 <= getattr(pm, key) < self.n_classes:
+                    raise ValueError(
+                        f"a pair has {key!r} {getattr(pm, key)}, outside "
+                        f"the class ids 0..{self.n_classes - 1} of "
+                        f"'n_classes' {self.n_classes}")
+            if pm.class_pos >= pm.class_neg:
+                raise ValueError(
+                    f"a pair has 'class_pos' {pm.class_pos} not below its "
+                    f"'class_neg' {pm.class_neg}")
+            if pm.sv.shape[1] != d:
+                raise ValueError(f"a pair's 'sv' has {pm.sv.shape[1]} "
+                                 f"columns, 'mean' {d}")
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean) / self.std
@@ -128,13 +181,31 @@ class SvmClassifier(JsonDoc):
         """Vote fractions (not calibrated probabilities)."""
         xs = self._standardize(x)
         votes = np.zeros((xs.shape[0], self.n_classes), dtype=np.float64)
-        for pm in self.pairs:
-            g = pm.decision(xs, self.gamma)
-            votes[g >= 0, pm.class_pos] += 1.0
-            votes[g < 0, pm.class_neg] += 1.0
+        for at, pm, g in self._decisions(xs):
+            block = votes[at:at + g.shape[0]]
+            block[:, pm.class_pos] += g >= 0
+            block[:, pm.class_neg] += g < 0
         total = votes.sum(axis=1, keepdims=True)
         total[total == 0] = 1.0
         return votes / total
+
+    def _decisions(self, xs: np.ndarray):
+        """(first row, pair, decision values) per block of standardized
+        rows and pair. The kernel is evaluated once per block over the
+        pairs' distinct support vectors; np.take hands each pair a
+        C-ordered copy of its columns, so the sums, and with them the
+        decision values, are those of a kernel over the pair's own
+        support vectors."""
+        sv = np.concatenate([pm.sv for pm in self.pairs])
+        union, inverse = np.unique(sv, axis=0, return_inverse=True)
+        ends = np.cumsum([pm.sv.shape[0] for pm in self.pairs])[:-1]
+        columns = np.split(inverse.reshape(-1), ends)
+        rows = max(BLOCK_ALIGN, KERNEL_CELLS // union.shape[0]
+                   // BLOCK_ALIGN * BLOCK_ALIGN)
+        for at in range(0, xs.shape[0], rows):
+            k = rbf_kernel(xs[at:at + rows], union, self.gamma)
+            for pm, ix in zip(self.pairs, columns):
+                yield at, pm, np.take(k, ix, axis=1) @ pm.coef + pm.bias
 
 
 def svm_train(

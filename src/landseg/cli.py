@@ -217,25 +217,29 @@ def cmd_predict(args):
 
 
 def cmd_ensemble(args):
-    maps = []
     mask = None
-    for stem in args.probs:
-        r = read_raster(stem)
-        shape = f"{r.width}x{r.height}, {r.n_bands} classes"
-        if mask is None:
-            first, mask = shape, r.valid_mask
-        elif shape != first:
-            raise ValueError(f"probability rasters {args.probs[0]} ({first}) "
-                             f"and {stem} ({shape}) differ")
-        else:
-            mask = mask & r.valid_mask
-        maps.append(r.data.astype(np.float64))
-    merged = ensemble_average(maps)
+
+    def maps():  # one raster in memory at a time
+        nonlocal mask
+        for stem in args.probs:
+            r = read_raster(stem)
+            shape = f"{r.width}x{r.height}, {r.n_bands} classes"
+            if mask is None:
+                first, mask = shape, r.valid_mask
+            elif shape != first:
+                raise ValueError(f"probability rasters {args.probs[0]} "
+                                 f"({first}) and {stem} ({shape}) differ")
+            else:
+                mask = mask & r.valid_mask
+            yield r.data.astype(np.float64)
+
+    merged = ensemble_average(maps())
     labels = argmax_labels(merged)
     labels.labels[~mask] = 255
     write_raster(_prob_raster(merged, mask), str(args.out) + "_probs")
     write_labels(labels, str(args.out) + "_labels")
-    print(f"ensemble of {len(maps)} -> {args.out}_labels / {args.out}_probs")
+    print(f"ensemble of {len(args.probs)} -> {args.out}_labels / "
+          f"{args.out}_probs")
     return [str(args.out) + "_labels", str(args.out) + "_probs"], None
 
 

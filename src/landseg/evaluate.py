@@ -198,21 +198,27 @@ def render_table(rep: MetricsReport) -> str:
 def ensemble_average(prob_maps) -> np.ndarray:
     """Element-wise mean of per-pixel class distributions.
 
-    prob_maps: list of (K, H, W) arrays whose per-pixel vectors each sum
-    to 1. The mean is renormalized per pixel so output vectors sum to 1
-    to full float64 precision.
+    prob_maps: an iterable of (K, H, W) arrays whose per-pixel vectors each
+    sum to 1, read one at a time into a running sum. The mean is
+    renormalized per pixel so output vectors sum to 1 to full float64
+    precision.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in prob_maps]
-    if not maps:
-        raise ValueError("need at least one probability map")
-    shape = maps[0].shape
-    for m in maps:
-        if m.shape != shape:
+    total, n = None, 0
+    for m in prob_maps:
+        m = np.asarray(m, dtype=np.float64)
+        if total is not None and m.shape != total.shape:
             raise ValueError("probability maps must share geometry and K")
-        sums = m.sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-6):
+        if not np.allclose(m.sum(axis=0), 1.0, atol=1e-6):
             raise ValueError("input per-pixel vectors must sum to 1")
-    mean = np.mean(maps, axis=0)
+        # summed in input order, as np.mean sums along a stacked axis
+        if total is None:
+            total = m.copy()
+        else:
+            total += m
+        n += 1
+    if total is None:
+        raise ValueError("need at least one probability map")
+    mean = total / n
     mean /= mean.sum(axis=0, keepdims=True)
     return mean
 

@@ -91,15 +91,15 @@ def load_model(path, n_bands=None):
 def predict_pixels(model, r: Raster) -> np.ndarray:
     """Class probabilities (K, H, W) float64 for every raster pixel.
 
-    They are vote fractions / leaf histograms, not calibrated.
+    They are vote fractions / leaf histograms, not calibrated. Only a
+    chunk of PIXEL_CHUNK pixels at a time is converted to float64.
     """
-    n_classes = model.n_classes
-    x = r.data.reshape(r.n_bands, -1).T.astype(np.float64)
-    probs = np.zeros((x.shape[0], n_classes))
-    for at in range(0, x.shape[0], PIXEL_CHUNK):
-        probs[at:at + PIXEL_CHUNK] = model.predict_proba(
-            x[at:at + PIXEL_CHUNK])
-    return probs.T.reshape(n_classes, r.height, r.width)
+    x = r.data.reshape(r.n_bands, -1)
+    probs = np.empty((model.n_classes, x.shape[1]))
+    for at in range(0, x.shape[1], PIXEL_CHUNK):
+        chunk = x[:, at:at + PIXEL_CHUNK].T.astype(np.float64)
+        probs[:, at:at + PIXEL_CHUNK] = model.predict_proba(chunk).T
+    return probs.reshape(model.n_classes, r.height, r.width)
 
 
 def predict_map(model, r: Raster, plan: TilePlan | None = None):

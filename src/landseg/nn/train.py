@@ -34,14 +34,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError(f"'lr' must be positive, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"'momentum' must be in [0, 1), "
+                             f"got {self.momentum!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
+                raise ValueError(f"{name!r} must be at least 1, "
                                  f"got {getattr(self, name)!r}")
 
     def make_optimizer(self):
@@ -204,21 +205,26 @@ def save_history_csv(history, path):
 def predict_tiles(net, r: Raster, plan: TilePlan):
     """Per-anchor softmax probability patches, ready for stitch_center.
 
-    Returns a list of (anchor, probs (patch, patch, K)) in plan order.
+    Checks the raster against the plan and the network, then returns an
+    iterator of (anchor, probs (patch, patch, K)) in plan order that runs
+    the network on PREDICT_BATCH tiles at a time as it is consumed.
     """
     plan.check_size("raster", r.width, r.height)
     if r.n_bands != net.in_ch:
         raise ValueError(
             f"raster has {r.n_bands} bands, network expects {net.in_ch}"
         )
-    data = reflect_pad_to(finite_at_nodata(r).astype(np.float64),
-                          plan.padded_height, plan.padded_width)
+    data = reflect_pad_to(finite_at_nodata(r), plan.padded_height,
+                          plan.padded_width)
+    return _tile_probs(net, data, plan)
+
+
+def _tile_probs(net, data, plan: TilePlan):
     p = plan.patch
-    out = []
     for at in range(0, len(plan.anchors), PREDICT_BATCH):
         anchors = plan.anchors[at:at + PREDICT_BATCH]
-        x = np.stack([data[:, ar:ar + p, ac:ac + p] for ar, ac in anchors])
+        x = np.stack([data[:, ar:ar + p, ac:ac + p]
+                      for ar, ac in anchors]).astype(np.float64)
         probs = net.predict_probs(x)
         for i, anchor in enumerate(anchors):
-            out.append((anchor, probs[i].transpose(1, 2, 0)))
-    return out
+            yield anchor, probs[i].transpose(1, 2, 0)

@@ -255,40 +255,41 @@ def stitch_center(predictions, plan: TilePlan):
     """Assemble per-tile probability patches into one seam-free map.
 
     predictions: iterable of (anchor, probs) with probs shaped
-    (patch, patch, K). Returns (LabelRaster, probs (K, height, width) f64);
-    the label is the owning tile's argmax with ties to the lowest class id.
+    (patch, patch, K), in any order; each patch's owned window is written
+    as it arrives, so none is kept. Returns (LabelRaster, probs (K, height,
+    width) f64); the label is the owning tile's argmax with ties to the
+    lowest class id.
     """
-    by_anchor = {}
-    for anchor, probs in predictions:
-        by_anchor[tuple(anchor)] = np.asarray(probs, dtype=np.float64)
     p = plan.patch
-    k = None
-    for anchor in plan.anchors:
-        if anchor not in by_anchor:
-            raise ValueError(f"missing prediction for anchor {anchor}")
-        probs = by_anchor[anchor]
-        if probs.shape[:2] != (p, p) or probs.ndim != 3:
+    rows = sorted({a[0] for a in plan.anchors})
+    cols = sorted({a[1] for a in plan.anchors})
+    row_own = dict(zip(rows, _axis_ownership(rows, p, plan.padded_height)))
+    col_own = dict(zip(cols, _axis_ownership(cols, p, plan.padded_width)))
+    # the windows not yet written, in plan order
+    owned = {(ar, ac): row_own[ar] + col_own[ac] for ar, ac in plan.anchors}
+
+    out = None
+    for anchor, probs in predictions:
+        window = owned.pop(tuple(anchor), None)
+        if window is None:
+            raise ValueError(f"prediction at {anchor} is not an anchor of "
+                             "the plan, or repeats one")
+        probs = np.asarray(probs)
+        if probs.ndim != 3 or probs.shape[:2] != (p, p):
             raise ValueError(
                 f"prediction at {anchor} has shape {probs.shape}, "
                 f"expected ({p}, {p}, K)"
             )
-        if k is None:
-            k = probs.shape[2]
-        elif probs.shape[2] != k:
+        if out is None:
+            out = np.zeros((probs.shape[2], plan.padded_height,
+                            plan.padded_width), dtype=np.float64)
+        elif probs.shape[2] != out.shape[0]:
             raise ValueError("inconsistent class count across predictions")
-
-    ph, pw = plan.padded_height, plan.padded_width
-    rows = sorted({a[0] for a in plan.anchors})
-    cols = sorted({a[1] for a in plan.anchors})
-    row_own = _axis_ownership(rows, p, ph)
-    col_own = _axis_ownership(cols, p, pw)
-
-    out = np.zeros((k, ph, pw), dtype=np.float64)
-    for ar, (rs, re) in zip(rows, row_own):
-        for ac, (cs, ce) in zip(cols, col_own):
-            patch_probs = by_anchor[(ar, ac)]
-            block = patch_probs[rs - ar:re - ar, cs - ac:ce - ac]
-            out[:, rs:re, cs:ce] = block.transpose(2, 0, 1)
+        (ar, ac), (rs, re, cs, ce) = anchor, window
+        out[:, rs:re, cs:ce] = probs[rs - ar:re - ar,
+                                     cs - ac:ce - ac].transpose(2, 0, 1)
+    if owned:
+        raise ValueError(f"missing prediction for anchor {next(iter(owned))}")
 
     out = out[:, :plan.height, :plan.width]
     labels = np.argmax(out, axis=0).astype(np.uint8)

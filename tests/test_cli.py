@@ -500,7 +500,8 @@ def test_stage_help_shows_library_defaults(capsys):
 
 @pytest.fixture(scope="module")
 def documents(scene_dir, tmp_path_factory):
-    """A tile plan, a psp_mini weights stem and an RF model of the scene."""
+    """A tile plan, a psp_mini weights stem, and an RF and an SVM model of
+    the scene's bands."""
     out = tmp_path_factory.mktemp("documents")
     assert main(["tile", "--stack", str(scene_dir / "stack"),
                  "--labels", str(scene_dir / "labels"), "--patch", "64",
@@ -509,6 +510,8 @@ def documents(scene_dir, tmp_path_factory):
                                patch=64), out / "net")
     save_model(rf_train(np.arange(14.0).reshape(2, 7), np.array([0, 1]),
                         n_trees=2, min_leaf=1), out / "rf.json")
+    save_model(svm_train(np.arange(28.0).reshape(4, 7), np.array([0, 1, 0, 1]),
+                         gamma=0.5), out / "svm.json")
     return out
 
 
@@ -596,11 +599,40 @@ def _case(id, file, edit, *named):
     _case("rf-tree-n_classes", "rf.json",
           _tree(hist=[[1, 1, 0], [0, 0, 1], [0, 1, 0]], n_classes=3),
           "'n_classes' 3"),
+    _case("svm-sv-columns", "svm.json",
+          _set("model", "pairs", 0, "sv", value=[[0.0] * 6] * 4), "'sv'",
+          "6 columns"),
+    _case("svm-coef-short", "svm.json",
+          _set("model", "pairs", 0, "coef", value=[1.0, -1.0, 0.5]),
+          "'coef'"),
+    _case("svm-class_pos", "svm.json",
+          _set("model", "pairs", 0, "class_pos", value=9), "'class_pos' 9"),
+    _case("svm-class_neg", "svm.json",
+          _set("model", "pairs", 0, "class_neg", value=-1),
+          "'class_neg' -1"),
+    _case("svm-class_neg-9", "svm.json",
+          _set("model", "pairs", 0, "class_neg", value=9), "'class_neg' 9",
+          "outside"),
+    _case("svm-n_classes", "svm.json", _set("model", "n_classes", value=0),
+          "'n_classes'"),
+    _case("svm-pairs-empty", "svm.json", _set("model", "pairs", value=[]),
+          "'pairs'"),
+    _case("svm-coef-nan", "svm.json",
+          _set("model", "pairs", 0, "coef", 0, value=float("nan")),
+          "'coef'", "not finite"),
+    _case("svm-bias-inf", "svm.json",
+          _set("model", "pairs", 0, "bias", value=float("inf")), "'bias'"),
+    _case("svm-mean-nan", "svm.json",
+          _set("model", "mean", 0, value=float("nan")), "'mean'"),
+    _case("svm-std-zero", "svm.json", _set("model", "std", 0, value=0.0),
+          "'std'"),
+    _case("svm-gamma", "svm.json", _set("model", "gamma", value=-1.0),
+          "'gamma'"),
 ])
 def test_malformed_document_names_file_and_key(scene_dir, documents,
                                                tmp_path, capsys, file, edit,
                                                named):
-    for name in ("plan.json", "net.json", "net.bin", "rf.json"):
+    for name in ("plan.json", "net.json", "net.bin", "rf.json", "svm.json"):
         (tmp_path / name).write_bytes((documents / name).read_bytes())
     (tmp_path / "spec.json").write_text("{}")
     doc = json.loads((tmp_path / file).read_text())
@@ -610,7 +642,7 @@ def test_malformed_document_names_file_and_key(scene_dir, documents,
     out = ["--out", str(tmp_path / "out" / "x")]
     if file == "spec.json":
         argv = ["synth", "--spec", str(tmp_path / file), *out]
-    elif file == "rf.json":
+    elif file in ("rf.json", "svm.json"):
         argv = ["predict", "--model", str(tmp_path / file),
                 "--stack", str(scene_dir / "stack"), *out]
     else:
@@ -729,6 +761,8 @@ def _train_net_with_config(scene_dir, tmp_path, config):
     ({"epochs": 1, "lr": "abc"}, "'lr'"),
     ({"epochs": 1, "class_weighting": 1}, "'class_weighting'"),
     ({"epochs": 1, "optimizer": 3}, "'optimizer'"),
+    ({"epochs": 1, "lr": -1}, "'lr'"),
+    ({"epochs": 1, "momentum": 1.0}, "'momentum'"),
 ])
 def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
                                       named):

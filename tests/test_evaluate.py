@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,36 @@ def test_ensemble_duplication_invariance(rng):
     )
 
 
+def test_ensemble_sums_as_the_stacked_mean(rng):
+    maps = []
+    for _ in range(5):
+        m = rng.random((4, 9, 7))
+        maps.append(m / m.sum(axis=0, keepdims=True))
+    want = np.mean(maps, axis=0)
+    want /= want.sum(axis=0, keepdims=True)
+    assert ensemble_average(iter(maps)).tobytes() == want.tobytes()
+
+
+def test_ensemble_memory_is_one_map_at_a_time(rng):
+    shape = (6, 256, 256)
+
+    def maps():
+        for _ in range(3):
+            m = rng.random(shape)
+            m /= m.sum(axis=0, keepdims=True)
+            yield m
+
+    tracemalloc.start()
+    try:
+        ensemble_average(maps())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the running sum, the map being read and the result, plus per-pixel
+    # temporaries
+    assert peak <= 4 * np.prod(shape) * 8
+
+
 def test_ensemble_validates_inputs(rng):
     m = rng.random((3, 2, 2))
     with pytest.raises(ValueError, match="sum to 1"):
@@ -230,6 +262,8 @@ def test_ensemble_validates_inputs(rng):
     ok = m / m.sum(axis=0, keepdims=True)
     with pytest.raises(ValueError, match="geometry"):
         ensemble_average([ok, ok[:, :1]])
+    with pytest.raises(ValueError, match="at least one"):
+        ensemble_average(iter([]))
 
 
 # ------------------------------------------------------------------ report

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from landseg.nn import (
     sgd_momentum_step,
     train,
 )
+from landseg.models import predict_map
 from landseg.nn import ops
 from landseg.nn.train import _eval_loss, band_stats, spectral_jitter
 
@@ -422,13 +424,33 @@ def test_predict_tiles_properties(rng):
     data[:, :32, 32:64] = data[:, :32, :32]
     r = Raster(96, 96, ["a", "b", "c", "d"], data, np.ones((96, 96), bool))
     plan = plan_tiles(96, 96, patch=32, stride=32)
-    preds = predict_tiles(net, r, plan)
-    again = predict_tiles(net, r, plan)
+    preds = list(predict_tiles(net, r, plan))
+    again = list(predict_tiles(net, r, plan))
+    assert [a for a, _ in preds] == plan.anchors
     by_anchor = dict(preds)
     assert all(np.array_equal(p, dict(again)[a]) for a, p in preds)
     for _, p in preds:
         assert np.abs(p.sum(axis=2) - 1.0).max() < 1e-12
     assert np.array_equal(by_anchor[(0, 0)], by_anchor[(0, 32)])
+
+
+def test_predict_map_memory_does_not_grow_with_tiles(rng):
+    # one raster under plans of 16 and of 169 tiles: the stitch keeps no
+    # patch, so both peak at the maps plus one batch's forward pass
+    net = build_network("segnet_mini", in_ch=4, n_classes=3, width=4,
+                        patch=32, seed=0)
+    data = rng.random((4, 128, 128)).astype(np.float32)
+    r = Raster(128, 128, ["a", "b", "c", "d"], data,
+               np.ones((128, 128), bool))
+    peaks = []
+    for stride in (32, 8):
+        tracemalloc.start()
+        try:
+            predict_map(net, r, plan_tiles(128, 128, patch=32, stride=stride))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_predict_tiles_band_mismatch(rng):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from landseg import SvmClassifier, svm_train
+from landseg import SceneSpec, SvmClassifier, default_legend, generate_scene
+from landseg import stratified_sample, svm_train
 from landseg.classical.svm import rbf_kernel, smo_solve
 
 
@@ -96,3 +99,39 @@ def test_svm_json_round_trip(rng):
     assert np.array_equal(back.predict(probe), model.predict(probe))
     probs = back.predict_proba(probe)
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_decisions_match_each_pairs_own_kernel(rng, order):
+    # the shared kernel is cut into row blocks; every pair's decision
+    # values are the bits of a kernel over its own support vectors, taken
+    # over all rows at once
+    x, y = blobs(rng, n_per_class=40, centers=((0, 0), (3, 3), (0, 3),
+                                               (3, 0)), spread=1.5)
+    model = svm_train(x, y)
+    xs = np.asarray(model._standardize(rng.uniform(-2, 5, size=(5003, 2))),
+                    order=order)
+    got = {id(pm): [] for pm in model.pairs}
+    for at, pm, g in model._decisions(xs):
+        assert at == sum(b.size for b in got[id(pm)])
+        got[id(pm)].append(g)
+    for pm in model.pairs:
+        want = rbf_kernel(xs, pm.sv, model.gamma) @ pm.coef + pm.bias
+        assert np.concatenate(got[id(pm)]).tobytes() == want.tobytes()
+
+
+def test_svm_vote_memory_is_bounded():
+    # the pixel_map benchmark's SVM (100 rows per class of a 256x256
+    # scene) voting on all 65,536 pixels in one call
+    stack, labels, _ = generate_scene(SceneSpec(width=256, height=256,
+                                                seed=4))
+    table = stratified_sample(stack, labels, default_legend(6), 100, seed=3)
+    model = svm_train(table.x, table.y, n_classes=6)
+    x = stack.data.reshape(stack.n_bands, -1).T.astype(np.float64)
+    tracemalloc.start()
+    try:
+        model.predict_proba(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landseg import (
     LabelRaster,
@@ -246,6 +248,70 @@ def test_stitch_patch_size_mismatch():
     plan = plan_tiles(256, 256, patch=256)
     with pytest.raises(ValueError, match="shape"):
         stitch_center([((0, 0), np.ones((128, 128, 2)))], plan)
+
+
+def _nearest_centre_fill(plan, patches):
+    """Reference stitch, one pixel at a time: each pixel of the padded
+    image takes the value of the tile whose centre lies nearest along each
+    axis, ties to the later anchor."""
+    p = plan.patch
+    k = next(iter(patches.values())).shape[2]
+
+    def owners(anchors, dim):
+        out = []
+        for y in range(dim):
+            # the latest anchor among the nearest centres
+            owner = min(anchors, key=lambda a: (abs(y - a - (p - 1) / 2), -a))
+            assert 0 <= y - owner < p  # the owner covers the pixel
+            out.append(owner)
+        return out
+
+    rows = owners(sorted({a[0] for a in plan.anchors}), plan.padded_height)
+    cols = owners(sorted({a[1] for a in plan.anchors}), plan.padded_width)
+    ref = np.zeros((k, plan.padded_height, plan.padded_width))
+    for y, ar in enumerate(rows):
+        for x, ac in enumerate(cols):
+            ref[:, y, x] = patches[(ar, ac)][y - ar, x - ac]
+    return ref[:, :plan.height, :plan.width]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 40), height=st.integers(1, 40),
+       patch=st.integers(1, 12), stride_frac=st.floats(0.0, 1.0),
+       k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_stitch_properties(width, height, patch, stride_frac, k, seed):
+    stride = max(1, round(stride_frac * patch))
+    plan = plan_tiles(width, height, patch=patch, stride=stride)
+    rng = np.random.default_rng(seed)
+    # nonzero values that differ between tiles, so a pixel left unwritten
+    # or written by another tile shows
+    patches = {a: 1.0 + rng.random((patch, patch, k)) for a in plan.anchors}
+    ref = _nearest_centre_fill(plan, patches)
+    shuffled = [(plan.anchors[i], patches[plan.anchors[i]])
+                for i in rng.permutation(len(plan.anchors))]
+    # a pixel written by a tile besides its owner would take that tile's
+    # value in plan order or in reverse order
+    feeds = [shuffled, ((a, patches[a]) for a in plan.anchors),
+             ((a, patches[a]) for a in reversed(plan.anchors))]
+    for feed in feeds:
+        labels, probs = stitch_center(feed, plan)
+        assert probs.shape == (k, height, width)
+        assert np.array_equal(probs, ref)
+        assert np.array_equal(labels.labels, np.argmax(ref, axis=0))
+
+    drop = int(rng.integers(len(shuffled)))
+    with pytest.raises(ValueError, match="missing"):
+        stitch_center(shuffled[:drop] + shuffled[drop + 1:], plan)
+    with pytest.raises(ValueError, match="repeats"):
+        stitch_center(shuffled + shuffled[drop:drop + 1], plan)
+    anchor = shuffled[drop][0]
+    with pytest.raises(ValueError, match="shape"):
+        stitch_center(shuffled[:drop] + [(anchor, np.ones((patch, patch + 1,
+                                                          k)))], plan)
+    if len(shuffled) > 1:
+        with pytest.raises(ValueError, match="inconsistent"):
+            stitch_center(shuffled[:drop] + [(anchor, np.ones((
+                patch, patch, k + 1)))] + shuffled[drop + 1:], plan)
 
 
 def test_reflect_pad_small_image():

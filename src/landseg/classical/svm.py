@@ -48,46 +48,68 @@ def smo_solve(x, y_signed, C, gamma, tol, max_iter):
     Works on maximal violating pairs: i maximizes y - f over the up set,
     j minimizes it over the down set, where f_k = sum_j alpha_j y_j K_jk.
     Returns (alpha, bias, iterations, final_violation).
+
+    A step touches only what its two alphas change: the sets are kept as
+    0/-inf (up) and 0/+inf (down) penalties added to y - f, updated at i
+    and j alone, and the scalar step runs on Python floats.
     """
     n = x.shape[0]
     kmat = rbf_kernel(x, x, gamma)
-    alpha = np.zeros(n)
+    ys = y_signed.tolist()
+    diag = kmat.diagonal().tolist()
+    a = [0.0] * n
     f = np.zeros(n)
-    it = 0
     viol = y_signed - f
+    buf = np.empty(n)
+    pen_up, pen_down = np.empty(n), np.empty(n)
+    top = C - 1e-12
+
+    def place(k):
+        # set row k's penalties from its alpha
+        low, high = a[k] > 1e-12, a[k] < top
+        up, down = (high, low) if ys[k] > 0 else (low, high)
+        pen_up[k] = 0.0 if up else -np.inf
+        pen_down[k] = 0.0 if down else np.inf
+
+    for k in range(n):
+        place(k)
+    it = 0
     while it < max_iter:
-        up = ((y_signed > 0) & (alpha < C - 1e-12)) | ((y_signed < 0) & (alpha > 1e-12))
-        down = ((y_signed < 0) & (alpha < C - 1e-12)) | ((y_signed > 0) & (alpha > 1e-12))
-        if not up.any() or not down.any():
+        # with finite y - f, an infinite pick means an empty set
+        i = int(np.add(viol, pen_up, out=buf).argmax())
+        if buf.item(i) == -np.inf:
             break
-        i = int(np.argmax(np.where(up, viol, -np.inf)))
-        j = int(np.argmin(np.where(down, viol, np.inf)))
-        gap = viol[i] - viol[j]
-        if gap <= tol:
+        j = int(np.add(viol, pen_down, out=buf).argmin())
+        if buf.item(j) == np.inf:
             break
-        if y_signed[i] != y_signed[j]:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(C, C + alpha[j] - alpha[i])
+        vi, vj = viol.item(i), viol.item(j)
+        if vi - vj <= tol:
+            break
+        ai, aj = a[i], a[j]
+        if ys[i] != ys[j]:
+            lo = max(0.0, aj - ai)
+            hi = min(C, C + aj - ai)
         else:
-            lo = max(0.0, alpha[i] + alpha[j] - C)
-            hi = min(C, alpha[i] + alpha[j])
-        eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
+            lo = max(0.0, ai + aj - C)
+            hi = min(C, ai + aj)
+        eta = diag[i] + diag[j] - 2.0 * kmat.item(i, j)
         # E_i - E_j = viol_j - viol_i; eta -> 0 only for duplicate points,
         # where the step clips to a box bound
-        step = y_signed[j] * (viol[j] - viol[i]) / max(eta, 1e-12)
-        aj_new = float(np.clip(alpha[j] + step, lo, hi))
-        ai_new = alpha[i] + y_signed[i] * y_signed[j] * (alpha[j] - aj_new)
-        ai_new = float(np.clip(ai_new, 0.0, C))
-        if abs(aj_new - alpha[j]) < 1e-14 and abs(ai_new - alpha[i]) < 1e-14:
+        step = ys[j] * (vj - vi) / max(eta, 1e-12)
+        aj_new = min(max(aj + step, lo), hi)
+        ai_new = min(max(ai + ys[i] * ys[j] * (aj - aj_new), 0.0), C)
+        if abs(aj_new - aj) < 1e-14 and abs(ai_new - ai) < 1e-14:
             break  # numerically stalled at a box corner
-        f = f + (ai_new - alpha[i]) * y_signed[i] * kmat[i] \
-              + (aj_new - alpha[j]) * y_signed[j] * kmat[j]
-        alpha[i], alpha[j] = ai_new, aj_new
-        viol = y_signed - f
+        np.add(f, np.multiply(kmat[i], (ai_new - ai) * ys[i], out=buf), out=f)
+        np.add(f, np.multiply(kmat[j], (aj_new - aj) * ys[j], out=buf), out=f)
+        np.subtract(y_signed, f, out=viol)
+        a[i], a[j] = ai_new, aj_new
+        place(i)
+        place(j)
         it += 1
 
-    up = ((y_signed > 0) & (alpha < C - 1e-12)) | ((y_signed < 0) & (alpha > 1e-12))
-    down = ((y_signed < 0) & (alpha < C - 1e-12)) | ((y_signed > 0) & (alpha > 1e-12))
+    alpha = np.array(a)
+    up, down = pen_up == 0.0, pen_down == 0.0
     final_gap = 0.0
     if up.any() and down.any():
         final_gap = float(np.max(viol[up]) - np.min(viol[down]))
@@ -222,6 +244,11 @@ def svm_train(
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty training table")
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, col = (int(v) for v in bad[0])
+        raise ValueError(f"training table holds {x[row, col]} at row {row}, "
+                         f"column {col}; SVM training needs finite values")
     if n_classes is None:
         n_classes = int(y.max()) + 1
     mean = x.mean(axis=0)
@@ -235,8 +262,6 @@ def svm_train(
     pairs = []
     for c1, c2 in combinations(classes, 2):
         sel = (y == c1) | (y == c2)
-        if not (y == c1).any() or not (y == c2).any():
-            raise ValueError(f"one-vs-one pair ({c1}, {c2}) is missing a class")
         xp = xs[sel]
         yp = np.where(y[sel] == c1, 1.0, -1.0)
         alpha, bias, _, gap = smo_solve(xp, yp, C, gamma, tol, max_iter)

@@ -6,18 +6,22 @@ run."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from landseg import ClassLegend, read_labels, read_raster, stratified_sample
 from landseg.classical import rf_train, svm_train
+from landseg.classical.svm import smo_solve
 from landseg.cli import main
-from landseg.models import save_model
+from landseg.models import load_model, save_model
 from landseg.nn import build_network, ops, save_network
 from landseg.synth import SceneSpec
 
@@ -142,6 +146,41 @@ def test_tracer_records_forest_layers(tmp_path):
     assert predict.get("forest.predict.s", 0) > 0
     assert (train.get("tree.predict.s", 0)
             + predict.get("tree.predict.s", 0)) > 0
+
+
+def test_tracer_records_svm_layers(tmp_path):
+    # a traced benchmark run fails when one of these records no call
+    SceneSpec(width=128, height=128, seed=3).save(tmp_path / "spec.json")
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "scene")]) == 0
+    _traced(tmp_path, "train.json", "train-pixel", "--algo", "svm",
+            "--stack", "scene/stack", "--labels", "scene/labels",
+            "--legend", "scene/legend.json", "--samples", "12",
+            "--seed", "5", "--out", "svm.json")
+    train = json.loads((tmp_path / "train.json").read_text())
+    predict = _traced(tmp_path, "predict.json", "predict", "--model",
+                      "svm.json", "--stack", "scene/stack", "--out", "svm")
+    for metric in ("svm.fit.s", "svm.smo.s", "svm.kernel.s"):
+        assert train["calls"].get(metric, 0) > 0, metric
+    assert predict.get("svm.kernel.s", 0) > 0
+    assert predict.get("svm.predict.s", 0) > 0
+    # svm.smo.iters sums smo_solve's own count over the one-vs-one pairs
+    scene = tmp_path / "scene"
+    table = stratified_sample(read_raster(scene / "stack"),
+                              read_labels(scene / "labels"),
+                              ClassLegend.load(scene / "legend.json"),
+                              n_per_class=12, seed=5)
+    model = load_model(tmp_path / "svm.json")
+    xs = (table.x - model.mean) / model.std
+    max_iter = inspect.signature(svm_train).parameters["max_iter"].default
+    iters = 0
+    for c1, c2 in combinations(np.unique(table.y), 2):
+        sel = (table.y == c1) | (table.y == c2)
+        y = np.where(table.y[sel] == c1, 1.0, -1.0)
+        iters += smo_solve(xs[sel], y, model.C, model.gamma, model.tol,
+                           max_iter)[2]
+    assert iters > 0
+    assert train["counts"]["svm.smo.iters"] == iters
 
 
 def test_tracer_records_net_layers(tmp_path):

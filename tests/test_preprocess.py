@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landseg import (
     Raster,
@@ -59,6 +62,31 @@ def test_match_self_is_identity(rng):
     assert np.array_equal(out, band)
     occupied = np.unique(band)
     assert np.array_equal(hm.lut[occupied], occupied)
+
+
+@st.composite
+def u8_bands(draw):
+    """A u8 band and a mask with at least one valid pixel."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    band = draw(arrays(np.uint8, (h, w)))
+    mask = draw(arrays(bool, (h, w)))
+    mask.flat[draw(st.integers(0, h * w - 1))] = True
+    return band, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(src=u8_bands(), ref=u8_bands())
+def test_match_properties(src, ref):
+    (band, mask), (ref_band, ref_mask) = src, ref
+    out, hm = histogram_match(band, ref_band, mask, ref_mask)
+    assert (np.diff(hm.lut.astype(int)) >= 0).all()
+    assert np.array_equal(out[~mask], band[~mask])
+    assert np.array_equal(out[mask], hm.lut[band[mask]])
+    # a band matched to itself keeps every value it holds
+    same, hm = histogram_match(band, band, mask, mask)
+    assert np.array_equal(same, band)
+    present = np.unique(band[mask])
+    assert np.array_equal(hm.lut[present], present)
 
 
 def test_match_four_pixel_case():

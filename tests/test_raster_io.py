@@ -1,7 +1,13 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landseg import (
     ClassLegend,
@@ -155,3 +161,43 @@ def test_read_raster_names_first_non_finite_valid_pixel(tmp_path):
     data[1] = 0.0
     write_raster(Raster(4, 3, ["a", "b"], data, mask), tmp_path / "r")
     assert np.isnan(read_raster(tmp_path / "r").data[0, 0, 0])
+
+
+@st.composite
+def rasters(draw):
+    """A raster of any size and band names, with finite float32 values at
+    valid pixels and NaN at some nodata pixels."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                          max_size=4, unique=True))
+    data = draw(arrays(np.float32, (len(names), h, w),
+                       elements=st.floats(width=32, allow_nan=False,
+                                          allow_infinity=False)))
+    mask = draw(arrays(bool, (h, w)))
+    holes = draw(arrays(bool, (h, w))) & ~mask
+    data[:, holes] = np.nan
+    return Raster(w, h, names, data, mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=rasters(), data=st.data())
+def test_raster_round_trip_properties(r, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp) / "r"
+        write_raster(r, stem)
+        back = read_raster(stem)
+        assert (back.width, back.height, back.bands) == (r.width, r.height,
+                                                         r.bands)
+        assert back.data.tobytes() == r.data.tobytes()  # NaN payloads too
+        assert np.array_equal(back.valid_mask, r.valid_mask)
+        valid = np.argwhere(r.valid_mask)
+        if not valid.size:
+            return
+        band = data.draw(st.integers(0, r.n_bands - 1))
+        row, col = valid[data.draw(st.integers(0, len(valid) - 1))]
+        r.data[band, row, col] = np.nan
+        write_raster(r, stem)
+        with pytest.raises(ValueError, match=re.escape(
+                f"band {band} ({r.bands[band]!r}) at valid pixel "
+                f"(row {row}, col {col})")):
+            read_raster(stem)

@@ -1,13 +1,11 @@
 """From-scratch pixel classifiers: CART, random forest, RBF-SVM."""
 
-from .params import ParamError
 from .tree import DecisionTree, cart_train, gini
 from .forest import RandomForest, permutation_importance, rf_train
 from .svm import SvmClassifier, svm_train
 
 __all__ = [
     "DecisionTree",
-    "ParamError",
     "RandomForest",
     "SvmClassifier",
     "cart_train",

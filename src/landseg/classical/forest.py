@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..jsondoc import JsonDoc, as_array, doc_field, list_of
-from .params import check_params
-from .tree import DecisionTree, _grow
+from ..jsondoc import (
+    JsonDoc, as_array, at_least, check_params, doc_field, list_of,
+)
+from .tree import DecisionTree, _grow, training_table
 
 VOTE_TABLE_BYTES = 1 << 22  # bound on one group's tables; bounds memory
 VOTE_CELLS = 1 << 16  # (row, tree, word) cells per block of table lookups
@@ -44,11 +45,12 @@ class RandomForest(JsonDoc):
     n_features: int
     n_rows: int
     seed: int
-    mtry: int
-    min_leaf: int
+    mtry: int = doc_field(check=at_least(1))
+    min_leaf: int = doc_field(check=at_least(1))
     oob_error: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for tree in self.trees:
             if tree.n_classes != self.n_classes:
                 raise ValueError(f"a tree has 'n_classes' {tree.n_classes}, "
@@ -216,13 +218,8 @@ def rf_train(
 ) -> RandomForest:
     check_params(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
                  mtry=mtry, bootstrap=bootstrap)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise ValueError("empty training table")
+    x, y, n_classes = training_table(x, y, n_classes)
     n, d = x.shape
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
@@ -264,8 +261,7 @@ def permutation_importance(forest: RandomForest, x: np.ndarray, y: np.ndarray) -
     Uninformative features score ~0; features a tree never touches score 0
     exactly for that tree.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
+    x, y, _ = training_table(x, y)
     if x.shape[1] != forest.n_features:
         raise ValueError(
             f"table has {x.shape[1]} features, forest expects {forest.n_features}"

@@ -18,20 +18,17 @@ from itertools import combinations
 
 import numpy as np
 
-from ..jsondoc import JsonDoc, as_array, doc_field, list_of
-from .params import check_params
+from ..jsondoc import (
+    JsonDoc, as_array, at_least, check_params, doc_field, finite, list_of,
+    positive, rule,
+)
+from .tree import training_table
 
 KERNEL_CELLS = 1 << 16  # (row, support vector) cells per block of kernel rows
 # Kernel blocks start at multiples of BLOCK_ALIGN rows. BLAS matrix-vector
 # kernels treat a row by its place in a group of a few rows, so aligned
 # blocks give each row the decision value of one call over all rows.
 BLOCK_ALIGN = 64
-
-
-def _require_finite(**values):
-    for key, value in values.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{key!r} holds a value that is not finite")
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -135,13 +132,13 @@ class PairModel(JsonDoc):
     class_pos: int
     class_neg: int
     # (n_sv, d) standardized support vectors
-    sv: np.ndarray = doc_field(as_array(np.float64))
-    coef: np.ndarray = doc_field(as_array(np.float64))  # alpha_i * y_i
-    bias: float
+    sv: np.ndarray = doc_field(as_array(np.float64), finite)
+    coef: np.ndarray = doc_field(as_array(np.float64), finite)  # alpha_i * y_i
+    bias: float = doc_field(check=finite)
     kkt_violation: float
 
     def __post_init__(self):
-        _require_finite(sv=self.sv, coef=self.coef, bias=self.bias)
+        super().__post_init__()
         if self.sv.ndim != 2 or self.coef.shape != self.sv.shape[:1]:
             raise ValueError(
                 f"'sv' of shape {self.sv.shape} and 'coef' of shape "
@@ -151,31 +148,22 @@ class PairModel(JsonDoc):
 
 @dataclass
 class SvmClassifier(JsonDoc):
-    pairs: list = doc_field(list_of(PairModel.from_json))
-    mean: np.ndarray = doc_field(as_array(np.float64))
-    std: np.ndarray = doc_field(as_array(np.float64))
-    n_classes: int
-    C: float = 300.0
-    gamma: float = 0.1
-    tol: float = 1e-3
+    pairs: list = doc_field(list_of(PairModel.from_json),
+                            rule(len, "a list of at least one pair"))
+    mean: np.ndarray = doc_field(as_array(np.float64), finite)
+    std: np.ndarray = doc_field(as_array(np.float64), positive)
+    n_classes: int = doc_field(check=at_least(2))
+    C: float = doc_field(check=positive, default=300.0)
+    gamma: float = doc_field(check=positive, default=0.1)
+    tol: float = doc_field(check=positive, default=1e-3)
 
     def __post_init__(self):
-        check_params(C=self.C, gamma=self.gamma, tol=self.tol)
-        _require_finite(mean=self.mean, std=self.std)
+        super().__post_init__()
         d = self.mean.size
         if self.mean.shape != (d,) or self.std.shape != (d,):
             raise ValueError(f"'mean' and 'std' must hold one value per "
                              f"band, got shapes {self.mean.shape} and "
                              f"{self.std.shape}")
-        if (self.std <= 0).any():
-            raise ValueError(f"'std' must be positive, got "
-                             f"{self.std.min()}")
-        if self.n_classes < 2:
-            raise ValueError(f"'n_classes' must be at least 2, "
-                             f"got {self.n_classes}")
-        if not self.pairs:
-            raise ValueError("'pairs' is empty; a model needs at least one "
-                             "one-vs-one pair")
         for pm in self.pairs:
             for key in ("class_pos", "class_neg"):
                 if not 0 <= getattr(pm, key) < self.n_classes:
@@ -240,17 +228,7 @@ def svm_train(
     n_classes: int | None = None,
 ) -> SvmClassifier:
     check_params(C=C, gamma=gamma, tol=tol, max_iter=max_iter)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise ValueError("empty training table")
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        row, col = (int(v) for v in bad[0])
-        raise ValueError(f"training table holds {x[row, col]} at row {row}, "
-                         f"column {col}; SVM training needs finite values")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    x, y, n_classes = training_table(x, y, n_classes)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0

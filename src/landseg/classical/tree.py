@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..jsondoc import JsonDoc, as_array, doc_field
-from .params import check_params
+from ..jsondoc import JsonDoc, as_array, at_least, check_params, doc_field
 
 GAIN_EPS = 1e-12  # integer class counts make true zero gains exact; this
                   # only guards against f64 rounding in the weighted sum
@@ -47,10 +46,11 @@ class DecisionTree(JsonDoc):
     right: np.ndarray = doc_field(as_array(np.int64))
     hist: np.ndarray = doc_field(as_array(np.int64))  # (nodes, K) class counts
     n_classes: int
-    min_leaf: int = 5
-    max_depth: int | None = None
+    min_leaf: int = doc_field(check=at_least(1), default=5)
+    max_depth: int | None = doc_field(check=at_least(1), default=None)
 
     def __post_init__(self):
+        super().__post_init__()
         # a forest's vote tables assume a tree: every node but the root is
         # the child of exactly one split node with a lower index
         n = self.n_nodes
@@ -265,6 +265,27 @@ def _grow(x, y, boots, rngs, n_classes, min_leaf, max_depth, mtry):
     ) for feature, threshold, left, right, hist in nodes]
 
 
+def training_table(x, y, n_classes=None) -> tuple:
+    """(x, y, n_classes) of a pixel trainer's table: x as 2-D float64, y as
+    int64, n_classes by default the largest label plus 1. Raise ValueError
+    on an empty table, unequal row counts, or a value that is not finite,
+    naming its row and column."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    if x.shape[0] == 0:
+        raise ValueError("empty training table")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("feature/label row counts differ")
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, col = (int(v) for v in bad[0])
+        raise ValueError(f"training table holds {x[row, col]} at row {row}, "
+                         f"column {col}; training needs finite values")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    return x, y, n_classes
+
+
 def cart_train(
     x: np.ndarray,
     y: np.ndarray,
@@ -275,13 +296,6 @@ def cart_train(
     """Grow a CART on a feature table, searching every feature at every
     split."""
     check_params(min_leaf=min_leaf, max_depth=max_depth)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise ValueError("empty training table")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("feature/label row counts differ")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    x, y, n_classes = training_table(x, y, n_classes)
     return _grow(x, y, [np.arange(x.shape[0])], [None], n_classes,
                  min_leaf, max_depth, None)[0]

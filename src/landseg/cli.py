@@ -25,7 +25,7 @@ from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import (
     TABLE2_SCENE_SIZE, dump_report, render_table2, table2_experiment,
 )
-from .jsondoc import read_object
+from .jsondoc import ParamError, check_params, read_object
 from .models import load_model, predict_map, save_model
 from .nn import (
     TrainConfig,
@@ -48,7 +48,7 @@ from .raster import (
     write_raster,
 )
 from .sampling import class_weights, stratified_sample
-from .classical import ParamError, cart_train, rf_train, svm_train
+from .classical import cart_train, rf_train, svm_train
 from .synth import SceneSpec, generate_scene
 from .tiling import TileSplit, extract_tiles, plan_tiles, split_samples
 from .evaluate import argmax_labels, ensemble_average
@@ -175,8 +175,7 @@ def cmd_train_net(args):
     use_class_weights = overrides.pop("class_weighting",
                                       NET_SETTINGS["class_weighting"][1])
     try:
-        if width < 1:
-            raise ValueError(f"'width' must be at least 1, got {width}")
+        check_params(width=width)
         cfg = default_config(args.arch, **overrides)
     except ValueError as exc:
         raise ValueError(f"train config {args.config}: {exc}") from None

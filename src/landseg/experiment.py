@@ -15,11 +15,11 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import cart_train, permutation_importance, rf_train, svm_train
-from .classical.params import check_params
 from .evaluate import (
     argmax_labels, class_metrics, confusion_from_arrays, ensemble_average,
     overall_accuracy,
 )
+from .jsondoc import check_params
 from .models import predict_map
 from .nn import TrainConfig, build_network, train
 from .preprocess import apply_cloud_mask

@@ -1,4 +1,5 @@
-"""One JSON codec for the dataclass documents the pipeline saves.
+"""One JSON codec for the dataclass documents the pipeline saves, and the
+rules of their fields and of the pipeline's keyword settings.
 
 Fields are written in declaration order, arrays and tuples as lists and
 nested documents as objects. Reading types a field through the decoder in
@@ -21,15 +22,80 @@ from pathlib import Path
 import numpy as np
 
 _DECODE = "jsondoc.decode"
+_CHECK = "jsondoc.check"
 # JSON value types of the scalar annotations, and their names in messages
 _SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
             "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def doc_field(decode, **kwargs):
-    """A dataclass field whose JSON value is read through decode(value);
-    a null value stays None."""
-    return field(metadata={_DECODE: decode}, **kwargs)
+def doc_field(decode=None, check=None, **kwargs):
+    """A dataclass field whose JSON value is read through decode(value),
+    a null value staying None, and whose value passes the rule check(value)
+    whenever an object is built (see Checked)."""
+    return field(metadata={_DECODE: decode, _CHECK: check}, **kwargs)
+
+
+def rule(test, what):
+    """A rule that raises ValueError("must be <what>, got <value>") unless
+    test(value) holds."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {what}, got {reprlib.repr(value)}")
+    return check
+
+
+def at_least(n):
+    """Rule: an integer, not a bool, of at least n."""
+    return rule(lambda v: isinstance(v, (int, np.integer))
+                and not isinstance(v, bool) and v >= n,
+                f"an integer of at least {n}")
+
+
+def one_of(*values):
+    """Rule: one of values."""
+    return rule(values.__contains__, "one of " + ", ".join(map(repr, values)))
+
+
+flag = rule(lambda v: isinstance(v, bool), "true or false")
+# a number, or an array of them, each finite and above 0
+positive = rule(lambda v: not isinstance(v, bool) and np.all(
+    np.isfinite(v) & (np.asarray(v) > 0)), "finite and positive")
+
+
+def finite(value):
+    """Rule: a number, or an array of them, with no NaN or infinity."""
+    if not np.isfinite(value).all():
+        raise ValueError("holds a value that is not finite")
+
+
+class ParamError(ValueError):
+    """A keyword setting that breaks its rule; key names it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+# The rules of the trainers', the experiments' and train-net's keyword
+# settings; a setting in NULLABLE may also be None.
+SETTINGS = {
+    **dict.fromkeys(("n_trees", "min_leaf", "max_depth", "mtry", "max_iter",
+                     "n_scenes", "svm_per_class", "width"), at_least(1)),
+    **dict.fromkeys(("C", "gamma", "tol"), positive),
+    "bootstrap": flag,
+}
+NULLABLE = ("max_depth", "mtry")  # mtry None: ceil(sqrt(features))
+
+
+def check_params(**params):
+    """Raise ParamError naming the first setting that breaks its rule in
+    SETTINGS."""
+    for key, value in params.items():
+        if value is not None or key not in NULLABLE:
+            try:
+                SETTINGS[key](value)
+            except ValueError as exc:
+                raise ParamError(key, f"{key!r} {exc}") from None
 
 
 def as_array(dtype):
@@ -110,7 +176,23 @@ def read_object(doc, name, types) -> dict:
     return dict(doc)
 
 
-class JsonDoc:
+class Checked:
+    """A dataclass whose fields' rules run whenever an object is built,
+    except on a None that is the field's default. A subclass's own
+    __post_init__ calls this one first."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check, value = f.metadata.get(_CHECK), getattr(self, f.name)
+            if check is None or (value is None and f.default is None):
+                continue
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{f.name!r} {exc}") from None
+
+
+class JsonDoc(Checked):
     """to_json, from_json, save and load of a dataclass, over its fields."""
 
     partial = False  # whether a document may leave out defaulted fields

@@ -15,13 +15,14 @@ stored with the weights and applied in every forward pass.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from ..jsondoc import JsonDoc, as_array, doc_field, list_of
+from ..jsondoc import (
+    JsonDoc, as_array, at_least, doc_field, finite, list_of, one_of, positive,
+)
 from ..raster import read_container, write_container
 
 ARCH_TAGS = ("segnet_mini", "unet_mini", "psp_mini")
@@ -307,12 +308,8 @@ class LayerEntry(JsonDoc):
     """Name and shape of one parameter array of the weights blob."""
 
     name: str
-    shape: list = doc_field(list_of())
-
-    def __post_init__(self):
-        if not all(type(n) is int and n >= 0 for n in self.shape):
-            raise ValueError(f"'shape' of {self.name!r} must hold integers "
-                             f"of at least 0, got {reprlib.repr(self.shape)}")
+    # each size an integer of at least 0
+    shape: list = doc_field(list_of(), lambda s: list(map(at_least(0), s)))
 
 
 @dataclass
@@ -320,30 +317,22 @@ class WeightsManifest(JsonDoc):
     """Header of a weights container: the network's constructor arguments,
     its band normalization and, in blob order, its parameter arrays."""
 
-    format: str
+    format: str = doc_field(check=one_of(WEIGHTS_FORMAT))
     version: int
-    arch: str
-    in_ch: int
-    n_classes: int
-    width: int
-    patch: int
-    band_mean: np.ndarray = doc_field(as_array(np.float64))
-    band_std: np.ndarray = doc_field(as_array(np.float64))
+    arch: str = doc_field(check=one_of(*ARCH_TAGS))
+    in_ch: int = doc_field(check=at_least(1))
+    n_classes: int = doc_field(check=at_least(1))
+    width: int = doc_field(check=at_least(1))
+    patch: int = doc_field(check=at_least(1))
+    band_mean: np.ndarray = doc_field(as_array(np.float64), finite)
+    band_std: np.ndarray = doc_field(as_array(np.float64), positive)
     layers: list = doc_field(list_of(LayerEntry.from_json))
 
     def __post_init__(self):
-        if self.format != WEIGHTS_FORMAT:
-            raise ValueError(f"not a {WEIGHTS_FORMAT} manifest")
+        super().__post_init__()
         if self.version != WEIGHTS_VERSION:
             raise ValueError(f"unsupported weights version {self.version!r} "
                              f"(expected {WEIGHTS_VERSION})")
-        if self.arch not in ARCH_TAGS:
-            raise ValueError(f"unknown 'arch' {self.arch!r}; expected one "
-                             f"of {ARCH_TAGS}")
-        for key in ("in_ch", "n_classes", "width", "patch"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key!r} must be at least 1, "
-                                 f"got {getattr(self, key)}")
 
     @classmethod
     def of(cls, net) -> "WeightsManifest":
@@ -380,7 +369,11 @@ def load_network(path_stem):
     except ValueError as exc:
         raise ValueError(f"{path_stem}.json: {exc}") from None
     values, at = np.frombuffer(raw, dtype="<f8"), 0
-    for _, p in net.params():
+    for name, p in net.params():
         p[...] = values[at:at + p.size].reshape(p.shape)
         at += p.size
+        try:
+            finite(p)
+        except ValueError as exc:
+            raise ValueError(f"{path_stem}.bin: {name!r} {exc}") from None
     return net

@@ -57,8 +57,6 @@ class Adam:
 
 class SgdMomentum:
     def __init__(self, lr=0.05, momentum=0.9):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
         self.lr = lr
         self.momentum = momentum
         self.velocity = None

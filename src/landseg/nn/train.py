@@ -9,6 +9,7 @@ import numpy as np
 
 from . import ops
 from .optim import Adam, SgdMomentum
+from ..jsondoc import Checked, at_least, doc_field, one_of, positive, rule
 from ..raster import NODATA_ID, Raster, SPECTRAL_BANDS
 from ..sampling import augment
 from ..tiling import Tile, TilePlan, finite_at_nodata, reflect_pad_to
@@ -23,27 +24,15 @@ PREDICT_BATCH = 8  # tiles per inference forward pass
 
 
 @dataclass
-class TrainConfig:
-    optimizer: str = "adam"          # "adam" or "sgd"
-    lr: float = 1e-5
-    momentum: float = 0.9
-    epochs: int = 20
-    batch_size: int = 8
+class TrainConfig(Checked):
+    optimizer: str = doc_field(check=one_of("adam", "sgd"), default="adam")
+    lr: float = doc_field(check=positive, default=1e-5)
+    momentum: float = doc_field(check=rule(lambda v: 0 <= v < 1, "in [0, 1)"),
+                                default=0.9)
+    epochs: int = doc_field(check=at_least(1), default=20)
+    batch_size: int = doc_field(check=at_least(1), default=8)
     seed: int = 0
     class_weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"'lr' must be positive, got {self.lr!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"'momentum' must be in [0, 1), "
-                             f"got {self.momentum!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name!r} must be at least 1, "
-                                 f"got {getattr(self, name)!r}")
 
     def make_optimizer(self):
         if self.optimizer == "adam":

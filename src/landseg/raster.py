@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsondoc import JsonDoc, doc_field, list_of
+from .jsondoc import Checked, JsonDoc, at_least, doc_field, list_of, one_of
 
 NODATA_ID = 255
 
@@ -57,16 +57,15 @@ class ClassLegend(JsonDoc):
     partial = True  # a legend document may leave out nodata_id
 
     classes: tuple = doc_field(list_of(LegendClass.from_json, into=tuple))
-    nodata_id: int = NODATA_ID
+    nodata_id: int = doc_field(check=one_of(NODATA_ID), default=NODATA_ID)
 
     def __post_init__(self):
+        super().__post_init__()
         ids = [c.id for c in self.classes]
         if ids != list(range(len(ids))):
             raise ValueError("class ids must be contiguous 0..K-1")
         if len(set(self.names)) != len(ids):
             raise ValueError("class names must be unique")
-        if self.nodata_id != NODATA_ID:
-            raise ValueError("nodata id is fixed at 255")
         if self.nodata_id in ids:
             raise ValueError("nodata id may not appear among class entries")
 
@@ -95,25 +94,24 @@ SPECTRAL_BANDS = STACK_BANDS[:5]
 
 
 @dataclass
-class Raster:
+class Raster(Checked):
     """Multi-band grid of float32 measurements with a per-pixel validity mask.
 
     data has shape (n_bands, height, width); valid_mask (height, width) with
     False marking nodata. Masked cells are excluded from all statistics.
     """
 
-    width: int
-    height: int
+    width: int = doc_field(check=at_least(1))
+    height: int = doc_field(check=at_least(1))
     bands: list
     data: np.ndarray
     valid_mask: np.ndarray
     origin: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         self.valid_mask = np.ascontiguousarray(self.valid_mask, dtype=bool)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("raster dims must be positive")
         if len(set(self.bands)) != len(self.bands):
             raise ValueError("band names must be unique")
         if self.data.shape != (len(self.bands), self.height, self.width):
@@ -147,17 +145,16 @@ class Raster:
 
 
 @dataclass
-class LabelRaster:
+class LabelRaster(Checked):
     """Single-band class-id grid; 255 marks nodata."""
 
-    width: int
-    height: int
+    width: int = doc_field(check=at_least(1))
+    height: int = doc_field(check=at_least(1))
     labels: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("label raster dims must be positive")
         if self.labels.shape != (self.height, self.width):
             raise ValueError("labels shape must be (height, width)")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsondoc import JsonDoc, as_numbers, doc_field, list_of, number
+from .jsondoc import JsonDoc, as_numbers, doc_field, list_of, number, rule
 from .preprocess import slope_from_dem, stack_bands
 from .raster import (
     LabelRaster,
@@ -64,7 +64,8 @@ class SceneSpec(JsonDoc):
     width: int = 512
     height: int = 512
     seed: int = 0
-    n_classes: int = 6
+    n_classes: int = doc_field(check=rule(lambda k: k in range(2, 8),
+                                          "an integer from 2 to 7"), default=6)
     spectral_means: np.ndarray = doc_field(as_numbers, default=None)
     spectral_noise: float = 9.0
     band_correlation: float = 0.5
@@ -85,9 +86,8 @@ class SceneSpec(JsonDoc):
     radiometric_patchiness: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         k = self.n_classes
-        if not 2 <= k <= 7:
-            raise ValueError("scenes support 2..7 classes")
         if self.spectral_means is None:
             self.spectral_means = DEFAULT_SPECTRAL_MEANS[:k].copy()
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jsondoc import JsonDoc, check_object, doc_field, list_of
+from .jsondoc import JsonDoc, at_least, check_object, doc_field, list_of
 from .raster import LabelRaster, NODATA_ID, Raster
 
 
@@ -55,17 +55,18 @@ class TilePlan(JsonDoc):
     the plan records the true image dims."""
 
     patch: int
-    stride: int
+    stride: int = doc_field(check=at_least(1))
     width: int
     height: int
     # (row, col) top-left corners, row-major
     anchors: list = doc_field(list_of(list_of(into=tuple)), default=None)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dims must be positive")
-        if not 1 <= self.stride <= self.patch:
-            raise ValueError("stride must be in 1..patch")
+        if self.stride > self.patch:
+            raise ValueError("'stride' must be at most 'patch'")
         rows = _axis_anchors(self.padded_height, self.patch, self.stride)
         cols = _axis_anchors(self.padded_width, self.patch, self.stride)
         grid = [(r, c) for r in rows for c in cols]

@@ -657,6 +657,35 @@ def test_malformed_document_names_file_and_key(scene_dir, documents,
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("file, key, value", [
+    ("net.json", "band_mean", float("nan")),
+    ("net.json", "band_std", -1.0),
+    ("net.json", "band_std", float("inf")),
+    ("net.bin", None, float("nan")),
+])
+def test_predict_rejects_non_finite_weights(scene_dir, documents, tmp_path,
+                                            capsys, file, key, value):
+    for name in ("plan.json", "net.json", "net.bin"):
+        (tmp_path / name).write_bytes((documents / name).read_bytes())
+    manifest = json.loads((tmp_path / "net.json").read_text())
+    if key is None:  # the blob's first value, in the first layer
+        key = manifest["layers"][0]["name"]
+        blob = (tmp_path / "net.bin").read_bytes()
+        (tmp_path / "net.bin").write_bytes(
+            np.array(value, dtype="<f8").tobytes() + blob[8:])
+    else:
+        manifest[key][0] = value
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+    (tmp_path / "out").mkdir()
+    assert main(["predict", "--model", str(tmp_path / "net"),
+                 "--stack", str(scene_dir / "stack"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "out" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{file}: " in err and f"{key!r}" in err, err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_predict_names_both_sizes_of_a_plan_for_another_raster(
         scene_dir, documents, tmp_path, capsys):
     split = json.loads((documents / "plan.json").read_text())
@@ -771,6 +800,20 @@ def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
     assert "cfg.json" in err and named in err
     assert not (tmp_path / "net.json").exists()
     assert not (tmp_path / "net.bin").exists()
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_train_net_rejects_non_finite_lr(scene_dir, tmp_path, capsys,
+                                         monkeypatch, lr):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("landseg.cli.train", no_training)
+    config = {"epochs": 1, "lr": lr}
+    assert _train_net_with_config(scene_dir, tmp_path, config) == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and "'lr'" in err, err
+    assert not (tmp_path / "net.json").exists()
 
 
 def _train_pixel(scene_dir, tmp_path, algo, params=None):

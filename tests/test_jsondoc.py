@@ -3,7 +3,7 @@ every document class that uses it."""
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,12 @@ import pytest
 import landseg.cli  # noqa: F401  (defines every document class)
 from landseg.classical import DecisionTree, RandomForest, cart_train, rf_train
 from landseg.classical.svm import PairModel, SvmClassifier
+from landseg import jsondoc
 from landseg.jsondoc import JsonDoc
 from landseg.models import save_model
-from landseg.nn import build_network
+from landseg.nn import TrainConfig, build_network
 from landseg.nn.networks import WeightsManifest
-from landseg.raster import ClassLegend, LegendClass
+from landseg.raster import ClassLegend, LabelRaster, LegendClass, Raster
 from landseg.synth import SceneSpec
 from landseg.tiling import TilePlan, TileSplit, plan_tiles
 
@@ -203,3 +204,113 @@ def test_nested_and_non_object_documents_are_named():
     with pytest.raises(ValueError, match="SvmClassifier 'pairs'.*PairModel"):
         SvmClassifier.from_json({"pairs": [3], "mean": [0.0], "std": [1.0],
                                  "n_classes": 2})
+
+
+def _samples() -> dict:
+    """One object of each class whose fields may declare rules: the pinned
+    documents, every document nested in them, a training configuration
+    and the two rasters."""
+    found = {}
+
+    def visit(obj):
+        found.setdefault(type(obj), obj)
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, dict):
+                value = list(value.values())
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(item, JsonDoc):
+                    visit(item)
+
+    for obj in (*fixed_documents().values(), TrainConfig(),
+                Raster(2, 1, ["a"], np.zeros((1, 1, 2)), np.ones((1, 2))),
+                LabelRaster(2, 1, np.zeros((1, 2)))):
+        visit(obj)
+    return found
+
+
+def test_every_checked_class_has_a_sample():
+    def subclasses(cls):
+        return {sub for c in cls.__subclasses__()
+                for sub in (c, *subclasses(c))}
+
+    missing = subclasses(jsondoc.Checked) - {JsonDoc, *_samples()}
+    assert sorted(c.__name__ for c in missing) == []
+
+
+def _with_first_number(value, new):
+    """A copy of a JSON list with its first number, at any depth, set to
+    new; value itself if it holds none."""
+    if not isinstance(value, list):
+        return new if isinstance(value, (int, float)) else value
+    out = list(value)
+    for i, item in enumerate(out):
+        edited = _with_first_number(item, new)
+        if edited is not item:
+            out[i] = edited
+            return out
+    return value
+
+
+def _corruptions(value) -> list:
+    """JSON values shaped like value that some rule may reject."""
+    bad = [0, -1, float("nan"), float("inf")]
+    if isinstance(value, str):
+        return ["bogus"]
+    if isinstance(value, list):
+        return [[]] + [_with_first_number(value, b) for b in bad]
+    return bad
+
+
+RULED_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls, sample in _samples().items() for f in fields(sample)
+    if f.metadata.get(jsondoc._CHECK) is not None]
+
+
+def test_declared_rules_are_pinned():
+    # a rule dropped from a field drops its case below, so the fields that
+    # declare one are listed here
+    assert sorted(p.id for p in RULED_FIELDS) == sorted(
+        f"{cls}.{key}" for cls, keys in {
+            "ClassLegend": ["nodata_id"],
+            "DecisionTree": ["min_leaf", "max_depth"],
+            "LabelRaster": ["width", "height"],
+            "LayerEntry": ["shape"],
+            "PairModel": ["sv", "coef", "bias"],
+            "RandomForest": ["mtry", "min_leaf"],
+            "Raster": ["width", "height"],
+            "SceneSpec": ["n_classes"],
+            "SvmClassifier": ["pairs", "mean", "std", "n_classes", "C",
+                              "gamma", "tol"],
+            "TilePlan": ["stride"],
+            "TrainConfig": ["optimizer", "lr", "momentum", "epochs",
+                            "batch_size"],
+            "WeightsManifest": ["format", "arch", "in_ch", "n_classes",
+                                "width", "patch", "band_mean", "band_std"],
+        }.items() for key in keys)
+
+
+@pytest.mark.parametrize("cls, f", RULED_FIELDS)
+def test_every_declared_rule_is_enforced(cls, f):
+    # the first corruption that breaks the field's own rule must stop direct
+    # construction with a message that starts with the key, and a
+    # document's from_json with the same message after its class name
+    sample = _samples()[cls]
+    value = json.loads(json.dumps(jsondoc._encode(getattr(sample, f.name))))
+    decode = f.metadata.get(jsondoc._DECODE) or (lambda v: v)
+    for bad in _corruptions(value):
+        try:
+            f.metadata[jsondoc._CHECK](decode(bad))
+        except ValueError:
+            break
+    else:
+        pytest.fail(f"no corruption of {value!r} breaks the rule")
+    with pytest.raises(ValueError) as built:
+        replace(sample, **{f.name: decode(bad)})
+    assert str(built.value).startswith(f"{f.name!r} ")
+    if issubclass(cls, JsonDoc):
+        doc = json.loads(json.dumps({**sample.to_json(), f.name: bad}))
+        with pytest.raises(ValueError) as read:
+            cls.from_json(doc)
+        assert str(read.value) == f"{cls.__name__}: {built.value}"

@@ -296,6 +296,16 @@ def test_config_validation():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"epochs": 1.5}, {"batch_size": True}, {"lr": float("nan")},
+    {"lr": float("inf")}, {"momentum": float("nan")},
+], ids=["epochs-1.5", "batch_size-true", "lr-nan", "lr-inf", "momentum-nan"])
+def test_config_rules_name_the_key(setting):
+    (key, _), = setting.items()
+    with pytest.raises(ValueError, match=f"^'{key}' must be "):
+        TrainConfig(**setting)
+
+
 def test_train_smoke_and_history(rng):
     samples = tiny_samples(rng)
     net = build_network("psp_mini", in_ch=4, n_classes=3, width=4, patch=32, seed=0)

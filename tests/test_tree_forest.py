@@ -222,6 +222,22 @@ def test_trainers_check_their_params(rng, trainer, params, named):
         trainer(x, y, **params)
 
 
+@pytest.mark.parametrize("trainer", [cart_train, rf_train, svm_train])
+def test_trainers_check_their_table(rng, trainer):
+    x, y = blobs(rng, n_per_class=10)
+    x[5, 1] = np.nan
+    with pytest.raises(ValueError, match="holds nan at row 5, column 1"):
+        trainer(x, y)
+    x[5, 1], x[7, 0] = 0.0, -np.inf
+    with pytest.raises(ValueError, match="holds -inf at row 7, column 0"):
+        trainer(x, y)
+    x[7, 0] = 0.0
+    with pytest.raises(ValueError, match="row counts differ"):
+        trainer(x, y[:-1])
+    with pytest.raises(ValueError, match="empty training table"):
+        trainer(x[:0], y[:0])
+
+
 def test_rf_threads_match_single(rng):
     x = rng.random((100, 3))
     y = rng.integers(0, 2, size=100)

@@ -3,11 +3,12 @@ feature importance.
 
 Each tree trains on a bootstrap of size n with mtry = ceil(sqrt(d)) random
 features per split by default. A tree's out-of-bag set is the complement of
-its bootstrap; the forest's OOB error aggregates per-sample majority votes
-over the trees that did not see the sample. All trees grow in lockstep, one
-node of each per batched split search; with threads > 1 each thread grows
-a contiguous group of trees that way. Each tree's own rng keeps the result
-independent of both.
+its bootstrap, which the forest's seed and row count fix, so it is re-drawn
+rather than stored; the forest's OOB error aggregates per-sample majority
+votes over the trees that did not see the sample. All trees grow in
+lockstep, one node of each per batched split search; with threads > 1 each
+thread grows a contiguous group of trees that way. Each tree's own rng
+keeps the result independent of both.
 
 A forest votes through per-feature threshold tables (the bitvector method
 of QuickScorer, Lucchese et al. 2015), not by walking each tree: each
@@ -25,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..jsondoc import (
-    JsonDoc, as_array, at_least, check_params, doc_field, list_of,
-)
+from ..jsondoc import JsonDoc, at_least, check_params, doc_field, list_of
 from .tree import DecisionTree, _grow, training_table
 
 VOTE_TABLE_BYTES = 1 << 22  # bound on one group's tables; bounds memory
@@ -39,12 +38,10 @@ _LOW = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 @dataclass
 class RandomForest(JsonDoc):
     trees: list = doc_field(list_of(DecisionTree.from_json))
-    # per tree, indices never drawn by its bootstrap
-    oob_indices: list = doc_field(list_of(as_array(np.int64)))
     n_classes: int
     n_features: int
-    n_rows: int
-    seed: int
+    n_rows: int = doc_field(check=at_least(0))
+    seed: int = doc_field(check=at_least(0))
     mtry: int = doc_field(check=at_least(1))
     min_leaf: int = doc_field(check=at_least(1))
     oob_error: float | None = None
@@ -63,6 +60,13 @@ class RandomForest(JsonDoc):
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @property
+    def oob_indices(self) -> list:
+        """Per tree, the int64 rows its bootstrap never drew."""
+        _, boots = _bootstraps(self.seed, self.n_rows, self.n_trees)
+        return [np.flatnonzero(np.bincount(b, minlength=self.n_rows) == 0)
+                for b in boots]
 
     def oob_fractions(self) -> np.ndarray:
         """Per-tree share of training rows left out of the bootstrap."""
@@ -191,9 +195,17 @@ def _votes(trees, x, n_classes):
     return votes
 
 
-def _forest_oob_error(trees, oob_indices, x, y, n_classes) -> float | None:
-    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
-    for tree, oob in zip(trees, oob_indices):
+def _bootstraps(seed, n_rows, n_trees):
+    """Each tree's rng, from SeedSequence(seed), and the n_rows rows its
+    bootstrap draws with it."""
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n_trees)]
+    return rngs, [rng.integers(0, n_rows, size=n_rows) for rng in rngs]
+
+
+def _forest_oob_error(forest, x, y) -> float | None:
+    votes = np.zeros((x.shape[0], forest.n_classes), dtype=np.int64)
+    for tree, oob in zip(forest.trees, forest.oob_indices):
         if oob.size == 0:
             continue
         pred = tree.predict(x[oob])
@@ -211,27 +223,18 @@ def rf_train(
     min_leaf: int = 5,
     max_depth: int | None = None,
     mtry: int | None = None,
-    bootstrap: bool = True,
     n_classes: int | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> RandomForest:
     check_params(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
-                 mtry=mtry, bootstrap=bootstrap)
+                 mtry=mtry)
     x, y, n_classes = training_table(x, y, n_classes)
     n, d = x.shape
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(n_trees)]
-    if bootstrap:
-        boots = [rng.integers(0, n, size=n) for rng in rngs]
-        oob_indices = [np.flatnonzero(np.bincount(b, minlength=n) == 0)
-                       for b in boots]
-    else:
-        boots = [np.arange(n)] * n_trees
-        oob_indices = [np.zeros(0, dtype=np.int64) for _ in range(n_trees)]
+    rngs, boots = _bootstraps(seed, n, n_trees)
 
     def grow(lo, hi):
         return _grow(x, y, boots[lo:hi], rngs[lo:hi], n_classes,
@@ -247,11 +250,10 @@ def rf_train(
         trees = grow(0, n_trees)
 
     forest = RandomForest(
-        trees=trees, oob_indices=oob_indices,
-        n_classes=n_classes, n_features=d, n_rows=n, seed=seed,
+        trees=trees, n_classes=n_classes, n_features=d, n_rows=n, seed=seed,
         mtry=mtry, min_leaf=min_leaf,
     )
-    forest.oob_error = _forest_oob_error(trees, oob_indices, x, y, n_classes)
+    forest.oob_error = _forest_oob_error(forest, x, y)
     return forest
 
 
@@ -266,6 +268,9 @@ def permutation_importance(forest: RandomForest, x: np.ndarray, y: np.ndarray) -
         raise ValueError(
             f"table has {x.shape[1]} features, forest expects {forest.n_features}"
         )
+    if x.shape[0] != forest.n_rows:
+        raise ValueError(f"table has {x.shape[0]} rows, the forest was "
+                         f"trained on {forest.n_rows}")
     d = forest.n_features
     deltas = np.zeros(d, dtype=np.float64)
     used = 0

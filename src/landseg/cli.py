@@ -425,6 +425,8 @@ def main(argv=None) -> int:
     if stage == "experiment":
         stage += "-" + args.protocol
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         inputs = {}
         for option, what in INPUTS[args.command].items():
             given = getattr(args, option)

@@ -56,7 +56,6 @@ def one_of(*values):
     return rule(values.__contains__, "one of " + ", ".join(map(repr, values)))
 
 
-flag = rule(lambda v: isinstance(v, bool), "true or false")
 # a number, or an array of them, each finite and above 0
 positive = rule(lambda v: not isinstance(v, bool) and np.all(
     np.isfinite(v) & (np.asarray(v) > 0)), "finite and positive")
@@ -82,7 +81,6 @@ SETTINGS = {
     **dict.fromkeys(("n_trees", "min_leaf", "max_depth", "mtry", "max_iter",
                      "n_scenes", "svm_per_class", "width"), at_least(1)),
     **dict.fromkeys(("C", "gamma", "tol"), positive),
-    "bootstrap": flag,
 }
 NULLABLE = ("max_depth", "mtry")  # mtry None: ceil(sqrt(features))
 

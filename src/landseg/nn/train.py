@@ -31,8 +31,11 @@ class TrainConfig(Checked):
                                 default=0.9)
     epochs: int = doc_field(check=at_least(1), default=20)
     batch_size: int = doc_field(check=at_least(1), default=8)
-    seed: int = 0
-    class_weights: np.ndarray | None = None
+    seed: int = doc_field(check=at_least(0), default=0)
+    class_weights: np.ndarray | None = doc_field(check=rule(
+        lambda v: np.asarray(v).dtype.kind in "iuf" and np.ndim(v) == 1
+        and np.all(np.isfinite(v) & (np.asarray(v) >= 0)) and np.any(v),
+        "a list of finite, non-negative numbers, not all 0"), default=None)
 
     def make_optimizer(self):
         if self.optimizer == "adam":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,6 @@ class Raster(Checked):
     bands: list
     data: np.ndarray
     valid_mask: np.ndarray
-    origin: dict = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
@@ -132,16 +131,12 @@ class Raster(Checked):
     def select(self, names) -> "Raster":
         """New raster holding the named bands (mask shared by copy)."""
         idx = [self.bands.index(n) for n in names]
-        return Raster(
-            self.width, self.height, list(names),
-            self.data[idx].copy(), self.valid_mask.copy(), dict(self.origin),
-        )
+        return Raster(self.width, self.height, list(names),
+                      self.data[idx].copy(), self.valid_mask.copy())
 
     def copy(self) -> "Raster":
-        return Raster(
-            self.width, self.height, list(self.bands),
-            self.data.copy(), self.valid_mask.copy(), dict(self.origin),
-        )
+        return Raster(self.width, self.height, list(self.bands),
+                      self.data.copy(), self.valid_mask.copy())
 
 
 @dataclass
@@ -207,17 +202,17 @@ def write_container(path_stem, header: dict, body: bytes) -> None:
 def read_container(path_stem, body_size, decode=None) -> tuple:
     """Inverse of write_container: (header, body bytes). The header is
     decode(header dict) if decode is given; body_size(header) checks it and
-    returns the body length it implies."""
+    returns the body length it implies. Errors of either name <stem>.json."""
     header = json.loads(Path(str(path_stem) + ".json").read_text())
     if not isinstance(header, dict):
         raise ValueError(f"{path_stem}.json: expected a JSON object, "
                          f"got {type(header).__name__}")
-    if decode is not None:
-        try:
+    try:
+        if decode is not None:
             header = decode(header)
-        except ValueError as exc:
-            raise ValueError(f"{path_stem}.json: {exc}") from None
-    expected = body_size(header)
+        expected = body_size(header)
+    except ValueError as exc:
+        raise ValueError(f"{path_stem}.json: {exc}") from None
     body = Path(str(path_stem) + ".bin").read_bytes()
     if len(body) != expected:
         raise ValueError(
@@ -259,8 +254,6 @@ def write_raster(r: Raster, path_stem) -> None:
         "dtype": "f32",
         "byte_order": "little",
     }
-    if r.origin:
-        sidecar["origin"] = r.origin
     body = r.data.astype("<f4", copy=False).tobytes()
     body += r.valid_mask.astype(np.uint8).tobytes()
     write_container(path_stem, sidecar, body)
@@ -282,10 +275,7 @@ def read_raster(path_stem) -> Raster:
             raise ValueError(
                 f"{path_stem}.bin: non-finite value {data[b, row, col]} in "
                 f"band {b} ({bands[b]!r}) at valid pixel (row {row}, col {col})")
-    return Raster(
-        width, height, bands, data.copy(), mask,
-        origin=sidecar.get("origin", {}),
-    )
+    return Raster(width, height, bands, data.copy(), mask)
 
 
 def write_labels(l: LabelRaster, path_stem) -> None:

@@ -266,7 +266,8 @@ def test_evaluate_rejects_string_sidecar_dims(scene_dir, tmp_path, capsys):
                "--out", str(tmp_path / "report.json")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "'width'" in err and len(err) < 120
+    assert "pred.json: sidecar 'width'" in err
+    assert len(err.replace(str(tmp_path), "")) < 120
 
 
 @pytest.mark.parametrize("rows, named", [
@@ -464,6 +465,24 @@ def test_experiment_rejects_bad_counts(tmp_path, capsys, option, value, param):
     assert not (tmp_path / "t2.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["tile", "--stack", "{scene}/stack", "--labels", "{scene}/labels"],
+    ["train-pixel", "--algo", "rf", "--stack", "{scene}/stack",
+     "--labels", "{scene}/labels"],
+    ["train-net", "--arch", "psp_mini", "--stack", "{scene}/stack",
+     "--labels", "{scene}/labels", "--plan", "{documents}/plan.json"],
+    ["experiment", "table2", "--algos", "cart", "--scene-size", "64"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_names_the_option(scene_dir, documents, tmp_path,
+                                        capsys, argv):
+    argv = [a.format(scene=scene_dir, documents=documents) for a in argv]
+    assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be at least 0, got -1" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_help_shows_library_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "--help"])
@@ -572,6 +591,11 @@ def _case(id, file, edit, *named):
           "'trees'", "do not form a tree"),
     _case("rf-n_classes", "rf.json", _set("model", "n_classes", value="6"),
           "'n_classes'"),
+    # a forest document as written before its OOB sets were re-drawn
+    _case("rf-oob_indices", "rf.json",
+          _set("model", "oob_indices", value=[[], [0]]),
+          "unknown key 'oob_indices'"),
+    _case("rf-seed", "rf.json", _set("model", "seed", value=-1), "'seed'"),
     _case("plan-patch", "plan.json", _set("plan", "patch", value="32"),
           "'patch'"),
     _case("plan-anchor", "plan.json", _off_grid("plan"), "'anchors'"),
@@ -792,6 +816,10 @@ def _train_net_with_config(scene_dir, tmp_path, config):
     ({"epochs": 1, "optimizer": 3}, "'optimizer'"),
     ({"epochs": 1, "lr": -1}, "'lr'"),
     ({"epochs": 1, "momentum": 1.0}, "'momentum'"),
+    ({"epochs": 1, "class_weights": [-1.0] * 6}, "'class_weights'"),
+    ({"epochs": 1, "class_weights": [float("nan")] * 6}, "'class_weights'"),
+    ({"epochs": 1, "class_weights": [0] * 6}, "'class_weights'"),
+    ({"epochs": 1, "seed": -1}, "'seed'"),
 ])
 def test_train_net_rejects_bad_config(scene_dir, tmp_path, capsys, config,
                                       named):
@@ -890,7 +918,6 @@ PARAM_VALUES = {
     "max_depth": (2, lambda m: m.get("trees", [m])[0]["max_depth"]),
     "n_trees": (4, lambda m: len(m["trees"])),
     "mtry": (2, lambda m: m["mtry"]),
-    "bootstrap": (False, lambda m: any(m["oob_indices"])),
     "C": (10.0, lambda m: m["C"]),
     "gamma": (0.5, lambda m: m["gamma"]),
     "tol": (0.01, lambda m: m["tol"]),
@@ -901,7 +928,7 @@ PARAM_VALUES = {
 def test_readme_lists_each_algo_params():
     assert _readme_params() == {
         "cart": ["min_leaf", "max_depth"],
-        "rf": ["min_leaf", "max_depth", "n_trees", "mtry", "bootstrap"],
+        "rf": ["min_leaf", "max_depth", "n_trees", "mtry"],
         "svm": ["C", "gamma", "tol", "max_iter"],
     }
 
@@ -927,7 +954,8 @@ def test_train_pixel_takes_documented_param(scene_dir, tmp_path, capsys,
 @pytest.mark.parametrize("algo, digest", [
     ("cart",
      "339c062f77d78d7f4467196fbeeb09d566fb746ad37d5b8fce60935c92233ffa"),
-    ("rf", "c8dfc75e5098d5bd4cc53e3a12cf85fc60c163a66ddb4ca734d711f23ac82fc8"),
+    # the forest as saved when its OOB sets were stored, less 'oob_indices'
+    ("rf", "7909a9f6b3efdc3a9427497d6b7e24a7ea5fa36c4b4d8725b30ad656ee74a1a6"),
     ("svm",
      "6ac00ca08ab9ee7b99ea9cccb56e43610f4dc11da604376a554c184c1c737307"),
 ])

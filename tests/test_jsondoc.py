@@ -59,7 +59,8 @@ def _tiny_net():
 # sha256 of each document as written before the shared codec existed
 PINNED = {
     "cart": "a9026957403d84ea617a6f70d9e6024bfb2332a9f5ae662e45051e80a8708901",
-    "rf": "a090bea8a276aeea99537037edfe11be316d93bc8e5704b872f725481cb63a33",
+    # the same document less its stored 'oob_indices' lists
+    "rf": "92b59e9a641f5bac4acb431bebecbece42b0a71237e52af3fc852ef5b5e23fbc",
     "svm": "21410f3d8c1e691dd936153dbd9eaa536abf0b5c6a5a3862879c68044ea88538",
     "plan": "0738214e3e3100ccd28767dc940603e07c205e0a1ae2346803c44a9677bb37b6",
     "spec": "0b4ef6e1c0b52dc448a0b4eac0fef77bfb1ed1482991cef32f07b57603c8f620",
@@ -121,7 +122,13 @@ def _assert_tree_dtypes(tree):
 def test_round_trip_keeps_node_and_oob_dtypes():
     docs = fixed_documents()
     _assert_tree_dtypes(_json_round_trip(docs["cart"]))
-    for forest in (docs["rf"], rf_train(X, Y, n_trees=2, bootstrap=False)):
+    # on a single row every bootstrap draws it, so no tree has an OOB row
+    one_row = rf_train(X[:1], Y[:1], n_trees=2, n_classes=3)
+    for forest in (docs["rf"], one_row):
+        # a forest is its trees and its seed: the OOB sets are re-drawn
+        assert list(forest.to_json()) == [
+            "trees", "n_classes", "n_features", "n_rows", "seed", "mtry",
+            "min_leaf", "oob_error"]
         back = _json_round_trip(forest)
         assert all(isinstance(t, DecisionTree) for t in back.trees)
         for tree in back.trees:
@@ -131,7 +138,7 @@ def test_round_trip_keeps_node_and_oob_dtypes():
         assert [i.tolist() for i in back.oob_indices] == [
             i.tolist() for i in forest.oob_indices]
         assert np.array_equal(back.predict_proba(X), forest.predict_proba(X))
-    # without bootstrap every OOB set is empty, and stays int64
+    # empty OOB sets stay int64
     assert back.oob_indices[0].size == 0 and back.oob_error is None
 
 
@@ -278,14 +285,14 @@ def test_declared_rules_are_pinned():
             "LabelRaster": ["width", "height"],
             "LayerEntry": ["shape"],
             "PairModel": ["sv", "coef", "bias"],
-            "RandomForest": ["mtry", "min_leaf"],
+            "RandomForest": ["n_rows", "seed", "mtry", "min_leaf"],
             "Raster": ["width", "height"],
             "SceneSpec": ["n_classes"],
             "SvmClassifier": ["pairs", "mean", "std", "n_classes", "C",
                               "gamma", "tol"],
             "TilePlan": ["stride"],
             "TrainConfig": ["optimizer", "lr", "momentum", "epochs",
-                            "batch_size"],
+                            "batch_size", "seed", "class_weights"],
             "WeightsManifest": ["format", "arch", "in_ch", "n_classes",
                                 "width", "patch", "band_mean", "band_std"],
         }.items() for key in keys)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landseg import (
-    RandomForest, SvmClassifier, cart_train, gini, permutation_importance,
-    rf_train, svm_train,
+    RandomForest, SvmClassifier, cart_train, gini, load_model,
+    permutation_importance, rf_train, save_model, svm_train,
 )
 from landseg.classical.svm import PairModel
 from landseg.classical.tree import DecisionTree
@@ -145,8 +145,11 @@ def test_cart_separable_perfect_fit(rng):
 def test_rf_matches_cart_without_randomness(rng):
     x = rng.random((80, 3))
     y = rng.integers(0, 2, size=80)
-    forest = rf_train(x, y, n_trees=1, mtry=3, bootstrap=False, seed=5)
-    cart = cart_train(x, y)
+    forest = rf_train(x, y, n_trees=1, mtry=3, seed=5)
+    # the one tree's bootstrap: 80 draws from the first stream of the seed
+    boot = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0]
+                                 ).integers(0, 80, size=80)
+    cart = cart_train(x[boot], y[boot])
     tree = forest.trees[0]
     assert np.array_equal(tree.feature, cart.feature)
     assert np.array_equal(tree.threshold, cart.threshold)
@@ -192,8 +195,8 @@ def test_rf_vote_tie_to_lowest_class():
     t1 = DecisionTree(hist=np.array([[0, 5]]), n_classes=2, **leaf)
     from landseg.classical.forest import RandomForest
     forest = RandomForest(
-        trees=[t0, t1], oob_indices=[np.zeros(0, int)] * 2,
-        n_classes=2, n_features=1, n_rows=1, seed=0, mtry=1, min_leaf=5,
+        trees=[t0, t1], n_classes=2, n_features=1, n_rows=1, seed=0,
+        mtry=1, min_leaf=5,
     )
     probs = forest.predict_proba(np.zeros((1, 1)))
     assert np.allclose(probs, [[0.5, 0.5]])
@@ -382,6 +385,33 @@ def test_importance_feature_mismatch(rng):
         permutation_importance(forest, rng.random((50, 3)), y)
 
 
+def test_importance_row_count_mismatch(rng):
+    # the OOB sets index the training table; another table has other rows
+    x = rng.random((50, 2))
+    y = rng.integers(0, 2, size=50)
+    forest = rf_train(x, y, n_trees=5, seed=11)
+    with pytest.raises(ValueError, match="table has 60 rows, the forest "
+                                         "was trained on 50"):
+        permutation_importance(forest, np.vstack([x, x[:10]]),
+                               np.concatenate([y, y[:10]]))
+
+
+def test_saved_forest_redraws_its_oob_sets(rng, tmp_path):
+    x, y = blobs(rng, n_per_class=60, centers=((0, 0, 1), (3, 3, 0)),
+                 spread=1.5)
+    forest = rf_train(x, y, n_trees=12, seed=4, threads=2)
+    save_model(forest, tmp_path / "rf.json")
+    back = load_model(tmp_path / "rf.json")
+    assert "oob_indices" not in (tmp_path / "rf.json").read_text()
+    assert [o.dtype for o in back.oob_indices] == [np.int64] * 12
+    assert [o.tolist() for o in back.oob_indices] == [
+        o.tolist() for o in forest.oob_indices]
+    assert back.oob_fractions().tobytes() == forest.oob_fractions().tobytes()
+    assert back.oob_error == forest.oob_error
+    assert (permutation_importance(back, x, y).tobytes()
+            == permutation_importance(forest, x, y).tobytes())
+
+
 # ------------------------------------------- predict == argmax(predict_proba)
 
 def _tree(feature, threshold, left, right, hist):
@@ -404,8 +434,7 @@ def _hand_forest():
     # get one vote for each of two classes
     return RandomForest(
         trees=[_split_tree(), _tree([-1], [0], [-1], [-1], [[0, 0, 4]])],
-        oob_indices=[np.zeros(0, np.int64)] * 2, n_classes=3,
-        n_features=1, n_rows=0, seed=0, mtry=1, min_leaf=1,
+        n_classes=3, n_features=1, n_rows=0, seed=0, mtry=1, min_leaf=1,
     )
 
 
@@ -482,9 +511,8 @@ def _assert_same_votes(forest, x):
 
 def _forest_of(trees, n_features):
     return RandomForest(
-        trees=trees, oob_indices=[np.zeros(0, np.int64)] * len(trees),
-        n_classes=trees[0].n_classes, n_features=n_features, n_rows=0,
-        seed=0, mtry=1, min_leaf=1)
+        trees=trees, n_classes=trees[0].n_classes, n_features=n_features,
+        n_rows=0, seed=0, mtry=1, min_leaf=1)
 
 
 def _random_tree(rng, n_splits, n_features, n_classes, values):

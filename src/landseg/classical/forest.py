@@ -29,7 +29,9 @@ import numpy as np
 from ..jsondoc import JsonDoc, at_least, check_params, doc_field, list_of
 from .tree import DecisionTree, _grow, training_table
 
-VOTE_TABLE_BYTES = 1 << 22  # bound on one group's tables; bounds memory
+# bound on one group's tables, which keeps their sum over the groups near
+# linear in the trees
+VOTE_TABLE_BYTES = 1 << 22
 VOTE_CELLS = 1 << 16  # (row, tree, word) cells per block of table lookups
 # _LOW[n] has the n lowest of 64 bits set
 _LOW = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
@@ -76,10 +78,19 @@ class RandomForest(JsonDoc):
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Vote fractions over trees."""
+    def predict_proba(self, x: np.ndarray, tables=None) -> np.ndarray:
+        """Vote fractions over trees; tables, from vote_tables(), saves
+        building them on every call."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return _votes(self.trees, x, self.n_classes) / self.n_trees
+        if tables is None:
+            tables = self.vote_tables()
+        return _votes(tables, x, self.n_classes) / self.n_trees
+
+    def vote_tables(self) -> list:
+        """Each group's threshold tables and leaf classes (see _tables).
+        Votes only read them, so threads may share them."""
+        return [_tables(group) for group in _groups(self.trees,
+                                                    self.n_features)]
 
 
 def _groups(trees, n_features):
@@ -155,8 +166,9 @@ def _tables(trees):
     return tables, leaf_class
 
 
-def _votes(trees, x, n_classes):
-    """Vote counts (rows, n_classes) of the trees' leaf-majority classes.
+def _votes(groups, x, n_classes):
+    """Vote counts (rows, n_classes) of the trees' leaf-majority classes,
+    from each group's (tables, leaf_class).
 
     A row's table entry for a feature is at its rank among the
     thresholds, searchsorted side "left": the nodes it passes on the
@@ -166,8 +178,7 @@ def _votes(trees, x, n_classes):
     can reach in each tree, and the lowest one is its exit leaf.
     """
     votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
-    for group in _groups(trees, x.shape[1]):
-        tables, leaf_class = _tables(group)
+    for tables, leaf_class in groups:
         g_n, width = leaf_class.shape
         words = width // 64
         at_tree = np.arange(g_n) * width

@@ -4,6 +4,7 @@ for every model file, and one model -> probability map path."""
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,15 @@ from .classical import DecisionTree, RandomForest, SvmClassifier
 from .evaluate import argmax_labels
 from .nn import load_network, predict_tiles
 from .nn.networks import WEIGHTS_FORMAT
+from .pool import ordered_map
 from .raster import NODATA_ID, Raster
 from .tiling import TilePlan, stitch_center
 
 FORMAT = "landseg-model"
 VERSION = 1
-PIXEL_CHUNK = 65536  # rows per predict_proba call of a pixel model
+# rows per predict_proba call of a pixel model; a multiple of the SVM's
+# BLOCK_ALIGN, so that a chunk's kernel blocks stay aligned
+PIXEL_CHUNK = 16384
 
 _KINDS = {
     "cart": DecisionTree,
@@ -91,14 +95,23 @@ def load_model(path, n_bands=None):
 def predict_pixels(model, r: Raster) -> np.ndarray:
     """Class probabilities (K, H, W) float64 for every raster pixel.
 
-    They are vote fractions / leaf histograms, not calibrated. Only a
-    chunk of PIXEL_CHUNK pixels at a time is converted to float64.
+    They are vote fractions / leaf histograms, not calibrated. Chunks of
+    PIXEL_CHUNK pixels are converted to float64 and classified on the
+    map's thread pool, each into its own columns; a forest's vote tables
+    are built once and shared.
     """
     x = r.data.reshape(r.n_bands, -1)
     probs = np.empty((model.n_classes, x.shape[1]))
-    for at in range(0, x.shape[1], PIXEL_CHUNK):
+    proba = model.predict_proba
+    if isinstance(model, RandomForest):
+        proba = partial(proba, tables=model.vote_tables())
+
+    def classify(at):
         chunk = x[:, at:at + PIXEL_CHUNK].T.astype(np.float64)
-        probs[:, at:at + PIXEL_CHUNK] = model.predict_proba(chunk).T
+        probs[:, at:at + PIXEL_CHUNK] = proba(chunk).T
+
+    for _ in ordered_map(classify, range(0, x.shape[1], PIXEL_CHUNK)):
+        pass
     return probs.reshape(model.n_classes, r.height, r.width)
 
 

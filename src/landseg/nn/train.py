@@ -10,6 +10,7 @@ import numpy as np
 from . import ops
 from .optim import Adam, SgdMomentum
 from ..jsondoc import Checked, at_least, doc_field, one_of, positive, rule
+from ..pool import ordered_map
 from ..raster import NODATA_ID, Raster, SPECTRAL_BANDS
 from ..sampling import augment
 from ..tiling import Tile, TilePlan, finite_at_nodata, reflect_pad_to
@@ -199,7 +200,8 @@ def predict_tiles(net, r: Raster, plan: TilePlan):
 
     Checks the raster against the plan and the network, then returns an
     iterator of (anchor, probs (patch, patch, K)) in plan order that runs
-    the network on PREDICT_BATCH tiles at a time as it is consumed.
+    the network on batches of PREDICT_BATCH tiles, one per worker of
+    pool.ordered_map at a time, as it is consumed.
     """
     plan.check_size("raster", r.width, r.height)
     if r.n_bands != net.in_ch:
@@ -213,10 +215,14 @@ def predict_tiles(net, r: Raster, plan: TilePlan):
 
 def _tile_probs(net, data, plan: TilePlan):
     p = plan.patch
-    for at in range(0, len(plan.anchors), PREDICT_BATCH):
-        anchors = plan.anchors[at:at + PREDICT_BATCH]
+
+    def forward(anchors):
         x = np.stack([data[:, ar:ar + p, ac:ac + p]
                       for ar, ac in anchors]).astype(np.float64)
-        probs = net.predict_probs(x)
+        return anchors, net.predict_probs(x)
+
+    batches = (plan.anchors[at:at + PREDICT_BATCH]
+               for at in range(0, len(plan.anchors), PREDICT_BATCH))
+    for anchors, probs in ordered_map(forward, batches):
         for i, anchor in enumerate(anchors):
             yield anchor, probs[i].transpose(1, 2, 0)

@@ -235,8 +235,14 @@ def _n_pixels(sidecar: dict) -> int:
 def _raster_body_size(sidecar: dict) -> int:
     if sidecar.get("dtype") != "f32":
         raise ValueError(f"expected dtype f32, got {sidecar.get('dtype')}")
+    bands = sidecar.get("bands")
+    if (not isinstance(bands, list) or not all(isinstance(b, str)
+                                               for b in bands)
+            or len(set(bands)) != len(bands)):
+        raise ValueError(f"sidecar 'bands' must be a list of distinct band "
+                         f"names, got {reprlib.repr(bands)}")
     n_pix = _n_pixels(sidecar)
-    return len(sidecar["bands"]) * n_pix * 4 + n_pix
+    return len(bands) * n_pix * 4 + n_pix
 
 
 def _labels_body_size(sidecar: dict) -> int:

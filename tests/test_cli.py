@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 from landseg import (
     GroundPointSet, Raster, read_labels, read_raster, write_raster,
 )
-from landseg.classical import rf_train, svm_train
+from landseg import models, pool
+from landseg.classical import DecisionTree, cart_train, rf_train, svm_train
 from landseg.cli import main
 from landseg.experiment import TABLE2_SCENE_SIZE, table2_experiment
 from landseg.models import save_model
 from landseg.nn import build_network, save_network
+from landseg.nn.networks import _MiniNet
 from landseg.sampling import stratified_sample
 from landseg.synth import SceneSpec
 from landseg.tiling import plan_tiles
@@ -268,6 +271,26 @@ def test_evaluate_rejects_string_sidecar_dims(scene_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pred.json: sidecar 'width'" in err
     assert len(err.replace(str(tmp_path), "")) < 120
+
+
+@pytest.mark.parametrize("bands", [5, None, [1, 2, 3, 4, 5, 6, 7],
+                                   ["blue", 2, "red"], ["blue"] * 7])
+def test_train_pixel_rejects_bad_sidecar_bands(scene_dir, tmp_path, capsys,
+                                               bands):
+    sidecar = json.loads((scene_dir / "stack.json").read_text())
+    if bands is None:
+        del sidecar["bands"]
+    else:
+        sidecar["bands"] = bands
+    (tmp_path / "bad.json").write_text(json.dumps(sidecar))
+    (tmp_path / "bad.bin").write_bytes((scene_dir / "stack.bin").read_bytes())
+    rc = main(["train-pixel", "--algo", "cart", "--stack",
+               str(tmp_path / "bad"), "--labels", str(scene_dir / "labels"),
+               "--out", str(tmp_path / "cart.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.json: sidecar 'bands'" in err
+    assert not (tmp_path / "cart.json").exists()
 
 
 @pytest.mark.parametrize("rows, named", [
@@ -1133,3 +1156,44 @@ def test_ensemble_names_both_rasters_that_differ(tmp_path, capsys, shape_b,
     for word in named:
         assert word in err, err
     assert not list(tmp_path.glob("m*"))
+
+
+@pytest.mark.parametrize("model", ["cart", "net"])
+@pytest.mark.parametrize("exc, rc, prefix", [
+    (ValueError, 2, "error: "), (RuntimeError, 1, "internal error: "),
+])
+def test_predict_error_in_a_worker_reaches_the_cli(scene_dir, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   model, exc, rc, prefix):
+    if model == "cart":
+        x = np.arange(28.0).reshape(4, 7)
+        save_model(cart_train(x, np.array([0, 1, 0, 1]), min_leaf=1),
+                   tmp_path / "cart.json")
+        args = ["--model", str(tmp_path / "cart.json")]
+        cls, method = DecisionTree, "predict_proba"
+        monkeypatch.setattr(models, "PIXEL_CHUNK", 4096)
+    else:
+        assert main(["tile", "--stack", str(scene_dir / "stack"),
+                     "--labels", str(scene_dir / "labels"), "--patch", "32",
+                     "--out", str(tmp_path / "plan.json")]) == 0
+        save_network(build_network("psp_mini", in_ch=7, n_classes=6,
+                                   width=4, patch=32), tmp_path / "net")
+        args = ["--model", str(tmp_path / "net"),
+                "--plan", str(tmp_path / "plan.json")]
+        cls, method = _MiniNet, "predict_probs"
+    real = getattr(cls, method)
+
+    def failing(self, x):
+        if threading.current_thread() is not threading.main_thread():
+            raise exc("a worker failed")
+        return real(self, x)
+
+    monkeypatch.setattr(cls, method, failing)
+    monkeypatch.setattr(pool, "_workers", lambda: 2)
+    capsys.readouterr()
+    before = threading.active_count()
+    assert main(["predict", "--stack", str(scene_dir / "stack"), *args,
+                 "--out", str(tmp_path / "pred")]) == rc
+    assert capsys.readouterr().err == prefix + "a worker failed\n"
+    assert threading.active_count() == before
+    assert not (tmp_path / "pred_probs.json").exists()

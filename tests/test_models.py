@@ -11,10 +11,14 @@ from landseg import (
     load_model,
     plan_tiles,
     predict_map,
+    rf_train,
     save_model,
+    svm_train,
 )
+from landseg import models, pool
 from landseg.models import predict_pixels
 from landseg.nn import build_network, save_network
+from landseg.nn.train import PREDICT_BATCH
 
 
 def small_raster(rng, size=32, n_bands=3):
@@ -83,3 +87,39 @@ def test_predict_map_network(rng):
     check_map(label_map, probs, r)
     with pytest.raises(ValueError, match="plan"):
         predict_map(net, r)
+
+
+def _pixel_model(kind, rng):
+    x = rng.random((90, 3)) * 10
+    y = (x[:, 0] > 5).astype(int) + (x[:, 1] > 5).astype(int)
+    if kind == "cart":
+        return cart_train(x, y, n_classes=3, min_leaf=2)
+    if kind == "rf":
+        return rf_train(x, y, n_trees=12, min_leaf=2, n_classes=3, seed=4)
+    return svm_train(x, y, gamma=0.5, n_classes=3)
+
+
+@pytest.mark.parametrize("kind", ["cart", "rf", "svm", "segnet_mini",
+                                  "unet_mini", "psp_mini"])
+def test_predict_map_bytes_do_not_depend_on_workers(monkeypatch, rng, kind):
+    # 45 x 43 pixels are 10 chunks of 192 and 15 more; the plan's 36
+    # tiles are 4 batches of 8 and 4 more: a short last chunk and batch,
+    # and a short last group at 2 and at 3 workers
+    r = small_raster(rng, size=45)
+    r = Raster(45, 43, r.bands, r.data[:, :43], r.valid_mask[:43])
+    monkeypatch.setattr(models, "PIXEL_CHUNK", 192)
+    plan = None
+    if kind.endswith("_mini"):
+        model = build_network(kind, in_ch=3, n_classes=3, width=4,
+                              patch=16, seed=5)
+        plan = plan_tiles(r.width, r.height, patch=16, stride=6)
+        assert len(plan.anchors) % PREDICT_BATCH
+    else:
+        model = _pixel_model(kind, rng)
+        assert r.width * r.height % models.PIXEL_CHUNK
+    maps = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        label_map, probs = predict_map(model, r, plan)
+        maps[workers] = (label_map.labels.tobytes(), probs.tobytes())
+    assert maps[2] == maps[1] and maps[3] == maps[1]

@@ -32,9 +32,12 @@ from landseg.nn import (
     sgd_momentum_step,
     train,
 )
+from landseg import pool
 from landseg.models import predict_map
 from landseg.nn import ops
-from landseg.nn.train import _eval_loss, band_stats, spectral_jitter
+from landseg.nn.train import (
+    PREDICT_BATCH, _eval_loss, band_stats, spectral_jitter,
+)
 
 
 def conv_params(out_ch, in_ch, k=3):
@@ -444,9 +447,12 @@ def test_predict_tiles_properties(rng):
     assert np.array_equal(by_anchor[(0, 0)], by_anchor[(0, 32)])
 
 
-def test_predict_map_memory_does_not_grow_with_tiles(rng):
+def test_predict_map_memory_does_not_grow_with_tiles(monkeypatch, rng):
     # one raster under plans of 16 and of 169 tiles: the stitch keeps no
-    # patch, so both peak at the maps plus one batch's forward pass
+    # patch, so both peak at the maps plus one batch's forward pass. One
+    # worker: with more, the peak depends on how the batches overlap in
+    # time, and test_predict_tiles_runs_few_batches_ahead bounds them
+    monkeypatch.setattr(pool, "_workers", lambda: 1)
     net = build_network("segnet_mini", in_ch=4, n_classes=3, width=4,
                         patch=32, seed=0)
     data = rng.random((4, 128, 128)).astype(np.float32)
@@ -461,6 +467,25 @@ def test_predict_map_memory_does_not_grow_with_tiles(rng):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_predict_tiles_runs_few_batches_ahead(monkeypatch, rng, workers):
+    monkeypatch.setattr(pool, "_workers", lambda: workers)
+    net = build_network("segnet_mini", in_ch=4, n_classes=3, width=4,
+                        patch=32, seed=0)
+    started = []
+    forward = net.predict_probs
+    monkeypatch.setattr(net, "predict_probs",
+                        lambda x: started.append(len(x)) or forward(x))
+    r = Raster(128, 128, ["a", "b", "c", "d"],
+               rng.random((4, 128, 128)).astype(np.float32),
+               np.ones((128, 128), bool))
+    plan = plan_tiles(128, 128, patch=32, stride=8)
+    for i, (anchor, _) in enumerate(predict_tiles(net, r, plan)):
+        assert anchor == plan.anchors[i]
+        assert len(started) < i // PREDICT_BATCH + workers + 1
+    assert sum(started) == len(plan.anchors)
 
 
 def test_predict_tiles_band_mismatch(rng):

@@ -21,8 +21,10 @@ thresholds, gives the AND of their masks for every tree at once.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .tree import DecisionTree, _grow, training_table
 # linear in the trees
 VOTE_TABLE_BYTES = 1 << 22
 VOTE_CELLS = 1 << 16  # (row, tree, word) cells per block of table lookups
+_BUILD = threading.Lock()  # held while a forest's tables are looked up
 # _LOW[n] has the n lowest of 64 bits set
 _LOW = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
@@ -78,17 +81,17 @@ class RandomForest(JsonDoc):
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
 
-    def predict_proba(self, x: np.ndarray, tables=None) -> np.ndarray:
-        """Vote fractions over trees; tables, from vote_tables(), saves
-        building them on every call."""
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Vote fractions over trees."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if tables is None:
-            tables = self.vote_tables()
-        return _votes(tables, x, self.n_classes) / self.n_trees
+        with _BUILD:  # threads that vote at once share one build
+            groups = self._vote_groups
+        return _votes(groups, x, self.n_classes) / self.n_trees
 
-    def vote_tables(self) -> list:
-        """Each group's threshold tables and leaf classes (see _tables).
-        Votes only read them, so threads may share them."""
+    @cached_property
+    def _vote_groups(self) -> list:
+        """Each group's threshold tables and leaf classes (see _tables),
+        built on the first vote and kept. Votes only read them."""
         return [_tables(group) for group in _groups(self.trees,
                                                     self.n_features)]
 
@@ -289,13 +292,15 @@ def permutation_importance(forest: RandomForest, x: np.ndarray, y: np.ndarray) -
         if oob.size == 0:
             continue
         used += 1
-        base = float(np.mean(tree.predict(x[oob]) != y[oob]))
+        # the OOB rows, then a copy of them per feature with that feature
+        # permuted, classified in one call
+        xs = np.tile(x[oob], (d + 1, 1)).reshape(d + 1, oob.size, d)
         for f in range(d):
             rng = np.random.default_rng([forest.seed, 1 + t, f])
-            xp = x[oob].copy()
-            xp[:, f] = xp[rng.permutation(oob.size), f]
-            err = float(np.mean(tree.predict(xp) != y[oob]))
-            deltas[f] += err - base
+            xs[1 + f, :, f] = xs[0, rng.permutation(oob.size), f]
+        err = np.mean(tree.predict(xs.reshape(-1, d)).reshape(d + 1, -1)
+                      != y[oob], axis=1)
+        deltas += err[1:] - err[0]
     if used == 0:
         raise ValueError("forest has no out-of-bag samples")
     return deltas / used

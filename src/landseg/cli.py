@@ -25,7 +25,7 @@ from .evaluate import confusion_from, render_table, report as build_report
 from .experiment import (
     TABLE2_SCENE_SIZE, dump_report, render_table2, table2_experiment,
 )
-from .jsondoc import ParamError, check_params, read_object
+from .jsondoc import ParamError, check_params, read_json, read_object
 from .models import load_model, predict_map, save_model
 from .nn import (
     TrainConfig,
@@ -145,7 +145,7 @@ def cmd_train_pixel(args):
         types = {name: (p.annotation, p.default) for name, p in
                  inspect.signature(trainer).parameters.items()
                  if name not in {"x", "y", "n_classes", "seed", "threads"}}
-        params = read_object(json.loads(Path(args.params).read_text()),
+        params = read_object(read_json(args.params),
                              f"params file {args.params}", types)
 
     table = stratified_sample(stack, labels, legend,
@@ -169,7 +169,7 @@ def cmd_train_net(args):
 
     overrides = {}
     if args.config:
-        overrides = read_object(json.loads(Path(args.config).read_text()),
+        overrides = read_object(read_json(args.config),
                                 f"train config {args.config}", CONFIG_TYPES)
     width = overrides.pop("width", NET_SETTINGS["width"][1])
     use_class_weights = overrides.pop("class_weighting",

@@ -226,7 +226,7 @@ def _train_scene_networks(stack, labels, legend, seed, epochs):
     shared desk-scale Adam config (the paper-assigned optimizers remain the
     train-net defaults elsewhere). The rate is raised so that 25 epochs
     still fit the scene under train()'s spectral jitter. Returns
-    ({arch: (net, history)}, plan).
+    ({arch: net}, plan).
     """
     plan = plan_tiles(stack.width, stack.height, patch=NET_PATCH,
                       stride=NET_PATCH // 2)
@@ -240,8 +240,7 @@ def _train_scene_networks(stack, labels, legend, seed, epochs):
             arch, in_ch=stack.n_bands, n_classes=legend.n_classes,
             width=NET_WIDTHS[arch], patch=NET_PATCH, seed=seed,
         )
-        net, history = train(net, samples, cfg)
-        out[arch] = (net, history)
+        out[arch], _ = train(net, samples, cfg)
     return out, plan
 
 
@@ -282,16 +281,16 @@ def robustness_experiment(
         pos = table.positions[eval_idx]
         y_eval = table.y[eval_idx]
 
-        forest = rf_train(
+        trained = {"rf": rf_train(
             table.x[train_idx], table.y[train_idx],
             n_trees=n_trees, n_classes=k,
             seed=_derived_seed([seed, i, 301]),
-        )
-
+        )}
         nets, plan = _train_scene_networks(
             stack_a, labels_a, legend,
             seed=_derived_seed([seed, i, 302]) % (2 ** 31), epochs=epochs,
         )
+        trained.update(nets)
 
         entry = {"pair": i, "oa_in": {}, "oa_shift": {}, "degradation": {}}
 
@@ -300,19 +299,12 @@ def robustness_experiment(
             cm = confusion_from_arrays(y_eval, pred, k)
             return overall_accuracy(cm)
 
-        for tag, stack in (("oa_in", stack_a), ("oa_shift", stack_b)):
-            x_at = stack.data[:, pos[:, 0], pos[:, 1]].T.astype(np.float64)
-            rf_pred = forest.predict(x_at)
-            cm = confusion_from_arrays(y_eval, rf_pred, k)
-            entry[tag]["rf"] = overall_accuracy(cm)
-
         for scene_tag, stack in (("in", stack_a), ("shift", stack_b)):
             oa_tag = f"oa_{scene_tag}"
             probs = {}
-            for arch, (net, _) in nets.items():
-                label_map, p = predict_map(net, stack, plan)
-                entry[oa_tag][arch] = eval_positions(label_map)
-                probs[arch] = p
+            for name, model in trained.items():
+                label_map, probs[name] = predict_map(model, stack, plan)
+                entry[oa_tag][name] = eval_positions(label_map)
             merged = ensemble_average([probs[a] for a in NET_ARCHS])
             entry[oa_tag]["merged"] = eval_positions(argmax_labels(merged))
             probs["merged"] = merged

@@ -61,6 +61,12 @@ positive = rule(lambda v: not isinstance(v, bool) and np.all(
     np.isfinite(v) & (np.asarray(v) > 0)), "finite and positive")
 
 
+# a stack's band names: a list of distinct strings
+band_list = rule(lambda v: isinstance(v, list) and all(
+    isinstance(b, str) for b in v) and len(set(v)) == len(v),
+    "a list of distinct band names")
+
+
 def finite(value):
     """Rule: a number, or an array of them, with no NaN or infinity."""
     if not np.isfinite(value).all():
@@ -142,6 +148,16 @@ def _encode(value):
     return value
 
 
+def read_json(path, decode=None):
+    """The JSON value in the file at path, through decode if given; a
+    ValueError of either, a syntax error included, names the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return doc if decode is None else decode(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def check_object(doc, name, known):
     """Raise ValueError unless doc is a JSON object with keys among known."""
     if not isinstance(doc, dict):
@@ -151,6 +167,16 @@ def check_object(doc, name, known):
     if unknown:
         raise ValueError(f"{name} document has unknown key {unknown[0]!r} "
                          f"(accepted: {', '.join(sorted(known))})")
+
+
+def check_keys(doc, name, rules):
+    """Raise ValueError naming the first key of rules whose value in doc,
+    None where doc lacks the key, breaks its rule."""
+    for key, check in rules.items():
+        try:
+            check(doc.get(key))
+        except ValueError as exc:
+            raise ValueError(f"{name} {key!r} {exc}") from None
 
 
 def read_object(doc, name, types) -> dict:
@@ -232,7 +258,4 @@ class JsonDoc(Checked):
     @classmethod
     def load(cls, path):
         """from_json of the file at path; an error names the file."""
-        try:
-            return cls.from_json(json.loads(Path(path).read_text()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_json)

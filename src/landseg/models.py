@@ -4,13 +4,15 @@ for every model file, and one model -> probability map path."""
 from __future__ import annotations
 
 import json
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .classical import DecisionTree, RandomForest, SvmClassifier
 from .evaluate import argmax_labels
+from .jsondoc import (
+    band_list, check_keys, check_object, one_of, read_json, rule,
+)
 from .nn import load_network, predict_tiles
 from .nn.networks import WEIGHTS_FORMAT
 from .pool import ordered_map
@@ -48,47 +50,52 @@ def save_model(model, path, band_names=None) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+# the keys of a pixel model's file and their rules
+_ENVELOPE = {
+    "format": one_of(FORMAT), "version": one_of(VERSION),
+    "kind": one_of(*_KINDS),
+    "band_names": lambda names: names is None or band_list(names),
+    "model": rule(lambda doc: isinstance(doc, dict), "a JSON object"),
+}
+
+
 def load_model(path, n_bands=None):
     """Load a pixel-model document or a network weights stem.
 
     Reads `path` if it is a file, else `path + ".json"`, once, and
     dispatches on its format field. Given n_bands, a pixel model trained
     on another number of bands raises ValueError naming both counts.
+    Every error about the document names the file.
     """
     doc_path = Path(path)
     if not doc_path.is_file():
         doc_path = Path(str(path) + ".json")
-    doc = json.loads(doc_path.read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{doc_path}: expected a JSON object, "
-                         f"got {type(doc).__name__}")
-    if doc.get("format") == WEIGHTS_FORMAT:
-        return load_network(str(doc_path).removesuffix(".json"))
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"{path} is neither a {FORMAT} document nor "
-                         f"a {WEIGHTS_FORMAT} manifest")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
-    kind = doc["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    try:
+
+    def decode(doc):  # None for a weights manifest
+        if isinstance(doc, dict) and doc.get("format") == WEIGHTS_FORMAT:
+            return None
+        check_object(doc, "model", _ENVELOPE)
+        check_keys(doc, "model", _ENVELOPE)
+        kind, names = doc["kind"], doc.get("band_names")
         model = _KINDS[kind].from_json(doc["model"])
-    except ValueError as exc:
-        raise ValueError(f"{doc_path}: {exc}") from None
-    if kind == "forest":
-        trained = model.n_features
-    elif kind == "svm":
-        trained = model.mean.size
-    else:  # a tree keeps no band count; its document keeps the bands
-        names = doc.get("band_names")
-        trained = len(names) if isinstance(names, list) else n_bands
-        if trained is not None and model.feature.max(initial=-1) >= trained:
-            raise ValueError(f"{doc_path}: the tree splits on 'feature' "
-                             f"{model.feature.max()} of {trained} bands")
-    if None not in (n_bands, trained) and trained != n_bands:
-        raise ValueError(f"{doc_path}: model was trained on {trained} "
-                         f"bands, the stack has {n_bands}")
+        if kind == "forest":
+            trained = model.n_features
+        elif kind == "svm":
+            trained = model.mean.size
+        else:  # a tree keeps no band count; its document keeps the bands
+            trained = n_bands if names is None else len(names)
+            if trained is not None and (model.feature.max(initial=-1)
+                                        >= trained):
+                raise ValueError(f"the tree splits on 'feature' "
+                                 f"{model.feature.max()} of {trained} bands")
+        if None not in (n_bands, trained) and trained != n_bands:
+            raise ValueError(f"model was trained on {trained} bands, "
+                             f"the stack has {n_bands}")
+        return model
+
+    model = read_json(doc_path, decode)
+    if model is None:
+        return load_network(str(doc_path).removesuffix(".json"))
     return model
 
 
@@ -97,18 +104,14 @@ def predict_pixels(model, r: Raster) -> np.ndarray:
 
     They are vote fractions / leaf histograms, not calibrated. Chunks of
     PIXEL_CHUNK pixels are converted to float64 and classified on the
-    map's thread pool, each into its own columns; a forest's vote tables
-    are built once and shared.
+    map's thread pool, each into its own columns.
     """
     x = r.data.reshape(r.n_bands, -1)
     probs = np.empty((model.n_classes, x.shape[1]))
-    proba = model.predict_proba
-    if isinstance(model, RandomForest):
-        proba = partial(proba, tables=model.vote_tables())
 
     def classify(at):
         chunk = x[:, at:at + PIXEL_CHUNK].T.astype(np.float64)
-        probs[:, at:at + PIXEL_CHUNK] = proba(chunk).T
+        probs[:, at:at + PIXEL_CHUNK] = model.predict_proba(chunk).T
 
     for _ in ordered_map(classify, range(0, x.shape[1], PIXEL_CHUNK)):
         pass

@@ -9,13 +9,15 @@ with dtype "u8", no mask bytes, and 255 as the nodata code.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .jsondoc import Checked, JsonDoc, at_least, doc_field, list_of, one_of
+from .jsondoc import (
+    Checked, JsonDoc, at_least, band_list, check_keys, doc_field, list_of,
+    one_of, read_json,
+)
 
 NODATA_ID = 255
 
@@ -203,16 +205,15 @@ def read_container(path_stem, body_size, decode=None) -> tuple:
     """Inverse of write_container: (header, body bytes). The header is
     decode(header dict) if decode is given; body_size(header) checks it and
     returns the body length it implies. Errors of either name <stem>.json."""
-    header = json.loads(Path(str(path_stem) + ".json").read_text())
-    if not isinstance(header, dict):
-        raise ValueError(f"{path_stem}.json: expected a JSON object, "
-                         f"got {type(header).__name__}")
-    try:
+    def checked(header):
+        if not isinstance(header, dict):
+            raise ValueError(f"expected a JSON object, "
+                             f"got {type(header).__name__}")
         if decode is not None:
             header = decode(header)
-        expected = body_size(header)
-    except ValueError as exc:
-        raise ValueError(f"{path_stem}.json: {exc}") from None
+        return header, body_size(header)
+
+    header, expected = read_json(f"{path_stem}.json", checked)
     body = Path(str(path_stem) + ".bin").read_bytes()
     if len(body) != expected:
         raise ValueError(
@@ -222,33 +223,23 @@ def read_container(path_stem, body_size, decode=None) -> tuple:
     return header, body
 
 
-def _n_pixels(sidecar: dict) -> int:
-    """width * height, once both are checked to be positive integers."""
-    for key in ("width", "height"):
-        value = sidecar.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"sidecar {key!r} must be a positive integer, "
-                             f"got {reprlib.repr(value)}")
+def _n_pixels(sidecar: dict, dtype: str, **rules) -> int:
+    """width * height, once the sidecar's dtype, byte order, width and
+    height, and the keys of rules, each pass their rule; a ValueError
+    names the first key that does not."""
+    check_keys(sidecar, "sidecar", dict(
+        dtype=one_of(dtype), byte_order=one_of("little"), **rules,
+        width=at_least(1), height=at_least(1)))
     return sidecar["width"] * sidecar["height"]
 
 
 def _raster_body_size(sidecar: dict) -> int:
-    if sidecar.get("dtype") != "f32":
-        raise ValueError(f"expected dtype f32, got {sidecar.get('dtype')}")
-    bands = sidecar.get("bands")
-    if (not isinstance(bands, list) or not all(isinstance(b, str)
-                                               for b in bands)
-            or len(set(bands)) != len(bands)):
-        raise ValueError(f"sidecar 'bands' must be a list of distinct band "
-                         f"names, got {reprlib.repr(bands)}")
-    n_pix = _n_pixels(sidecar)
-    return len(bands) * n_pix * 4 + n_pix
+    n_pix = _n_pixels(sidecar, "f32", bands=band_list)
+    return len(sidecar["bands"]) * n_pix * 4 + n_pix
 
 
 def _labels_body_size(sidecar: dict) -> int:
-    if sidecar.get("dtype") != "u8":
-        raise ValueError(f"expected dtype u8, got {sidecar.get('dtype')}")
-    return _n_pixels(sidecar)
+    return _n_pixels(sidecar, "u8")
 
 
 def write_raster(r: Raster, path_stem) -> None:

@@ -293,6 +293,57 @@ def test_train_pixel_rejects_bad_sidecar_bands(scene_dir, tmp_path, capsys,
     assert not (tmp_path / "cart.json").exists()
 
 
+@pytest.mark.parametrize("stem", ["stack", "labels"])
+@pytest.mark.parametrize("byte_order", ["big", None, 1])
+def test_train_pixel_rejects_other_byte_order(scene_dir, tmp_path, capsys,
+                                              stem, byte_order):
+    sidecar = json.loads((scene_dir / f"{stem}.json").read_text())
+    if byte_order is None:
+        del sidecar["byte_order"]
+    else:
+        sidecar["byte_order"] = byte_order
+    (tmp_path / "bad.json").write_text(json.dumps(sidecar))
+    (tmp_path / "bad.bin").write_bytes((scene_dir / f"{stem}.bin").read_bytes())
+    inputs = {"stack": str(scene_dir / "stack"),
+              "labels": str(scene_dir / "labels"), stem: str(tmp_path / "bad")}
+    rc = main(["train-pixel", "--algo", "cart", "--stack", inputs["stack"],
+               "--labels", inputs["labels"],
+               "--out", str(tmp_path / "cart.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad.json: sidecar 'byte_order' must be one of 'little', got " \
+           f"{byte_order!r}" in err, err
+    assert not (tmp_path / "cart.json").exists()
+
+
+@pytest.mark.parametrize("option", ["stack", "model", "params", "config"])
+def test_json_syntax_error_names_the_file(scene_dir, documents, tmp_path,
+                                          capsys, option):
+    # single quotes: "Expecting property name enclosed in double quotes"
+    (tmp_path / "bad.json").write_text("{'epochs': 1}\n")
+    (tmp_path / "bad.bin").write_bytes((scene_dir / "stack.bin").read_bytes())
+    data = ["--stack", str(scene_dir / "stack"),
+            "--labels", str(scene_dir / "labels")]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "stack": ["train-pixel", "--algo", "cart", "--stack",
+                  str(tmp_path / "bad"), "--labels",
+                  str(scene_dir / "labels"), *out],
+        "model": ["predict", "--model", str(tmp_path / "bad.json"),
+                  "--stack", str(scene_dir / "stack"), *out],
+        "params": ["train-pixel", "--algo", "rf", *data,
+                   "--params", str(tmp_path / "bad.json"), *out],
+        "config": ["train-net", "--arch", "psp_mini", *data,
+                   "--plan", str(documents / "plan.json"),
+                   "--config", str(tmp_path / "bad.json"), *out],
+    }[option]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'bad.json'}: Expecting "
+                          f"property name"), err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("rows, named", [
     (["1,2,0", "3,4"], "line 3"),
     (["1,x,0"], "line 2"),
@@ -675,6 +726,23 @@ def _case(id, file, edit, *named):
           "'std'"),
     _case("svm-gamma", "svm.json", _set("model", "gamma", value=-1.0),
           "'gamma'"),
+    _case("rf-no-kind", "rf.json", lambda doc: doc.pop("kind"),
+          "model 'kind' must be one of", "got None"),
+    _case("svm-no-model", "svm.json", lambda doc: doc.pop("model"),
+          "model 'model' must be a JSON object, got None"),
+    _case("rf-band_names-int", "rf.json", _set("band_names", value=5),
+          "model 'band_names' must be a list of distinct band names, got 5"),
+    _case("svm-band_names-item", "svm.json",
+          _set("band_names", value=["a", 3, "b", "c", "d", "e", "f"]),
+          "model 'band_names' must be a list of distinct band names"),
+    _case("rf-band_names-repeat", "rf.json",
+          _set("band_names", value=["a"] * 7), "model 'band_names'"),
+    _case("rf-unknown-key", "rf.json", _set("bands", value=[]),
+          "model document has unknown key 'bands'"),
+    _case("rf-kind-list", "rf.json", _set("kind", value=["forest"]),
+          "model 'kind' must be one of"),
+    _case("svm-version", "svm.json", _set("version", value=2),
+          "model 'version' must be one of 1, got 2"),
 ])
 def test_malformed_document_names_file_and_key(scene_dir, documents,
                                                tmp_path, capsys, file, edit,

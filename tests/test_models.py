@@ -123,3 +123,32 @@ def test_predict_map_bytes_do_not_depend_on_workers(monkeypatch, rng, kind):
         label_map, probs = predict_map(model, r, plan)
         maps[workers] = (label_map.labels.tobytes(), probs.tobytes())
     assert maps[2] == maps[1] and maps[3] == maps[1]
+
+
+def test_forest_tables_are_built_once_per_forest(monkeypatch, rng):
+    # one group per tree, and 11 chunks per map on 1, 2 and 3 workers:
+    # each group's tables are built on the forest's first vote, once, and
+    # every later vote of every chunk reads them
+    from landseg.classical import forest as forest_mod
+    r = small_raster(rng, size=45)
+    monkeypatch.setattr(models, "PIXEL_CHUNK", 192)
+    monkeypatch.setattr(forest_mod, "VOTE_TABLE_BYTES", 1)
+    built = []
+    real = forest_mod._tables
+
+    def counted(trees):
+        built.extend(id(tree) for tree in trees)
+        return real(trees)
+
+    monkeypatch.setattr(forest_mod, "_tables", counted)
+    maps = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pool, "_workers", lambda: workers)
+        forest = _pixel_model("rf", np.random.default_rng(3))
+        built.clear()
+        label_map, probs = predict_map(forest, r)
+        assert sorted(built) == sorted(map(id, forest.trees))
+        predict_map(forest, r)
+        assert len(built) == forest.n_trees
+        maps[workers] = (label_map.labels.tobytes(), probs.tobytes())
+    assert maps[2] == maps[1] and maps[3] == maps[1]

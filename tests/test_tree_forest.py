@@ -611,6 +611,8 @@ def test_forest_votes_independent_of_groups_and_blocks(monkeypatch):
     monkeypatch.setattr(forest_mod, "VOTE_TABLE_BYTES", 1)
     monkeypatch.setattr(forest_mod, "VOTE_CELLS", 7)
     assert forest.predict_proba(x).tobytes() == want.tobytes()
+    # tables built before the patch would have grouped the trees otherwise
+    assert len(forest._vote_groups) == forest.n_trees
 
 
 def _set_node(key, node, value):

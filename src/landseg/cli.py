@@ -48,7 +48,7 @@ from .raster import (
     write_raster,
 )
 from .sampling import class_weights, stratified_sample
-from .classical import cart_train, rf_train, svm_train
+from .classical import TRAINERS, fit, trainer
 from .synth import SceneSpec, generate_scene
 from .tiling import TileSplit, extract_tiles, plan_tiles, split_samples
 from .evaluate import argmax_labels, ensemble_average
@@ -136,24 +136,22 @@ def cmd_tile(args):
 
 def cmd_train_pixel(args):
     stack = read_raster(args.stack)
-    labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
-    trainer = {"cart": cart_train, "rf": rf_train, "svm": svm_train}[args.algo]
+    labels = read_labels(args.labels, legend=legend)
     params = {}
     if args.params:
         # the stage sets x, y, n_classes, seed and threads itself
         types = {name: (p.annotation, p.default) for name, p in
-                 inspect.signature(trainer).parameters.items()
+                 inspect.signature(trainer(args.algo)).parameters.items()
                  if name not in {"x", "y", "n_classes", "seed", "threads"}}
         params = read_object(read_json(args.params),
                              f"params file {args.params}", types)
 
     table = stratified_sample(stack, labels, legend,
                               n_per_class=args.samples, seed=args.seed)
-    if args.algo == "rf":
-        params.update(seed=args.seed, threads=args.threads)
     try:
-        model = trainer(table.x, table.y, n_classes=legend.n_classes, **params)
+        model = fit(args.algo, table.x, table.y, n_classes=legend.n_classes,
+                    seed=args.seed, threads=args.threads, **params)
     except ParamError as exc:
         raise ValueError(f"params file {args.params}: {exc}") from None
     save_model(model, args.out, band_names=stack.bands)
@@ -163,8 +161,8 @@ def cmd_train_pixel(args):
 
 def cmd_train_net(args):
     stack = read_raster(args.stack)
-    labels = read_labels(args.labels)
     legend = _load_legend(args.legend)
+    labels = read_labels(args.labels, legend=legend)
     split = TileSplit.load(args.plan)
 
     overrides = {}
@@ -270,8 +268,8 @@ def cmd_experiment(args):
             **{name: getattr(args, name) for name in TABLE2_OPTIONS},
         )
     except ParamError as exc:
-        option = TABLE2_OPTIONS.get(exc.key, exc.key)
-        raise ValueError(f"{option}: {exc}") from None
+        options = {**TABLE2_OPTIONS, "algorithms": "--algos"}
+        raise ValueError(f"{options.get(exc.key, exc.key)}: {exc}") from None
     Path(args.out).write_text(dump_report(rep))
     print(render_table2(rep))
     return [args.out], args.seed
@@ -348,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("train-pixel", help="train CART / RF / SVM")
-    p.add_argument("--algo", choices=("cart", "rf", "svm"), required=True)
+    p.add_argument("--algo", choices=tuple(TRAINERS), required=True)
     p.add_argument("--stack", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--legend", default=None)

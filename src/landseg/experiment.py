@@ -4,7 +4,9 @@ table2_experiment grids {CART, RF, SVM} x {5-band, 7-band} over seeded
 scenes and reports per-class / overall F1 plus RF permutation importance,
 mirroring the feature-combination comparison. robustness_experiment trains
 RF and the three mini networks on one scene and re-evaluates on a
-spectrally shifted twin, measuring per-model accuracy degradation.
+spectrally shifted twin, measuring per-model accuracy degradation. Both
+draw their rows with _sample_split, score with _score and average over
+scenes or pairs with _mean_over.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .classical import cart_train, permutation_importance, rf_train, svm_train
+from .classical import TRAINERS, fit, permutation_importance
 from .evaluate import (
-    argmax_labels, class_metrics, confusion_from_arrays, ensemble_average,
-    overall_accuracy,
+    class_metrics, confusion_from_arrays, ensemble_average, overall_accuracy,
 )
-from .jsondoc import check_params
+from .jsondoc import ParamError, check_params
 from .models import predict_map
 from .nn import TrainConfig, build_network, train
 from .preprocess import apply_cloud_mask
@@ -28,34 +29,50 @@ from .sampling import class_weights, stratified_sample
 from .synth import SceneSpec, generate_scene, scene_battery, _derived_seed
 from .tiling import extract_tiles, plan_tiles, split_samples
 
-FIVE_BAND = list(range(5))
-SEVEN_BAND = list(range(7))
-BAND_SETS = {"5band": FIVE_BAND, "7band": SEVEN_BAND}
+BAND_SETS = {"5band": list(range(5)), "7band": list(range(7))}
 TABLE2_SCENE_SIZE = 256  # width and height of table2's scenes by default
 
 
-def _split_train_eval(y, n_train_per_class):
-    """Per class of the labels y, first n rows train, the rest evaluate
-    (rows are drawn without replacement, so the halves are disjoint)."""
-    train_idx, eval_idx = [], []
+def _first_per_class(y, n):
+    """Per class of the labels y, the indices of its first n rows and of
+    the rest, each grouped by class in ascending class order."""
+    first, rest = [], []
     for cid in np.unique(y):
         rows = np.flatnonzero(y == cid)
-        train_idx.append(rows[:n_train_per_class])
-        eval_idx.append(rows[n_train_per_class:])
-    return np.concatenate(train_idx), np.concatenate(eval_idx)
+        first.append(rows[:n])
+        rest.append(rows[n:])
+    return np.concatenate(first), np.concatenate(rest)
 
 
-def _per_class_f1(cm, class_names):
-    f1 = {}
-    present = []
-    for c, name in enumerate(class_names):
-        row = cm.counts[c].sum()
-        ua, pa, val, _ = class_metrics(cm, c)
-        f1[name] = val
-        if row > 0:
-            present.append(val)
-    overall = float(np.mean(present)) if present else 0.0
-    return f1, overall
+def _sample_split(stack, labels, legend, n_train, seed):
+    """Stratified rows of a scene, 2 * n_train per class drawn with seed
+    and without replacement: per class, the first n_train train and the
+    rest evaluate. Returns (train table, evaluation table)."""
+    table = stratified_sample(stack, labels, legend,
+                              n_per_class=2 * n_train, seed=seed)
+    return [replace(table, x=table.x[rows], y=table.y[rows],
+                    positions=table.positions[rows])
+            for rows in _first_per_class(table.y, n_train)]
+
+
+def _score(y_true, y_pred, names):
+    """Overall accuracy, F1 by class name, and the mean F1 over the
+    classes that y_true holds (0 if none)."""
+    cm = confusion_from_arrays(y_true, y_pred, len(names))
+    f1 = {name: class_metrics(cm, c)[2] for c, name in enumerate(names)}
+    present = [f1[name] for c, name in enumerate(names) if cm.counts[c].sum()]
+    return (overall_accuracy(cm), f1,
+            float(np.mean(present)) if present else 0.0)
+
+
+def _mean_over(entries, *keys):
+    """Mean over entries of the value that each holds under the key path."""
+    values = []
+    for entry in entries:
+        for key in keys:
+            entry = entry[key]
+        values.append(entry)
+    return float(np.mean(values))
 
 
 def table2_experiment(
@@ -69,71 +86,57 @@ def table2_experiment(
 ) -> dict:
     """F1 grid over feature combinations; fully deterministic per seed.
 
-    n_scenes and svm_per_class must be integers of at least 1 (ParamError
-    otherwise, before any work).
+    n_scenes and svm_per_class must be integers of at least 1, and
+    algorithms distinct names of TRAINERS (ParamError otherwise, before
+    any work). Each model is scored by its predictions on the sampled
+    evaluation rows, which are its map's labels at those pixels.
     """
     check_params(n_scenes=n_scenes, svm_per_class=svm_per_class)
+    algorithms = list(algorithms)
+    if (len(set(algorithms)) < len(algorithms)
+            or not set(algorithms) <= set(TRAINERS)):
+        raise ParamError("algorithms", (
+            f"'algorithms' must be distinct names out of "
+            f"{', '.join(TRAINERS)}, got {algorithms}"))
     if scene_spec is None:
         scene_spec = SceneSpec(width=TABLE2_SCENE_SIZE, height=TABLE2_SCENE_SIZE)
     legend = scene_spec.legend()
     names = legend.names
-    k = legend.n_classes
+    # training rows per class; the SVM's fit grows with their square
+    per_class = {"svm": svm_per_class}
 
     scenes = []
     for i in range(n_scenes):
         spec = replace(scene_spec, seed=_derived_seed([seed, i]))
         stack, labels, cloud = generate_scene(spec)
         stack = apply_cloud_mask(stack, cloud)
-        table = stratified_sample(
-            stack, labels, legend, n_per_class=2 * n_per_class,
-            seed=_derived_seed([seed, i, 100]),
-        )
-        train_idx, eval_idx = _split_train_eval(table.y, n_per_class)
-        x_train, y_train = table.x[train_idx], table.y[train_idx]
-        x_eval, y_eval = table.x[eval_idx], table.y[eval_idx]
-
-        entry = {
-            "scene_seed": spec.seed,
-            "f1": {},
-            "overall_f1": {},
-        }
-        rf_cache = {}
+        train_rows, eval_rows = _sample_split(
+            stack, labels, legend, n_per_class, _derived_seed([seed, i, 100]))
+        entry = {"scene_seed": spec.seed, "f1": {}, "overall_f1": {}}
+        models = {}
         for algo in algorithms:
             entry["f1"][algo] = {}
             entry["overall_f1"][algo] = {}
+            rows, _ = _first_per_class(train_rows.y,
+                                       per_class.get(algo, n_per_class))
             for band_tag, cols in BAND_SETS.items():
-                if algo == "cart":
-                    model = cart_train(x_train[:, cols], y_train,
-                                       n_classes=k)
-                elif algo == "rf":
-                    model = rf_train(
-                        x_train[:, cols], y_train,
-                        n_trees=n_trees, n_classes=k,
-                        seed=_derived_seed([seed, i, 200]),
-                    )
-                    rf_cache[band_tag] = model
-                elif algo == "svm":
-                    sub, _ = _split_train_eval(y_train, svm_per_class)
-                    model = svm_train(
-                        x_train[sub][:, cols], y_train[sub], n_classes=k,
-                    )
-                else:
-                    raise ValueError(f"unknown algorithm {algo!r}")
-                pred = model.predict(x_eval[:, cols])
-                cm = confusion_from_arrays(y_eval, pred, k)
-                f1, overall = _per_class_f1(cm, names)
+                models[algo, band_tag] = model = fit(
+                    algo, train_rows.x[rows][:, cols], train_rows.y[rows],
+                    n_classes=legend.n_classes, n_trees=n_trees,
+                    seed=_derived_seed([seed, i, 200]))
+                _, f1, overall = _score(
+                    eval_rows.y, model.predict(eval_rows.x[:, cols]), names)
                 entry["f1"][algo][band_tag] = f1
                 entry["overall_f1"][algo][band_tag] = overall
 
-        if "7band" in rf_cache:
-            imp = permutation_importance(
-                rf_cache["7band"], x_train[:, SEVEN_BAND], y_train
-            )
-            order = np.argsort(-imp, kind="stable")
+        if ("rf", "7band") in models:
+            imp = permutation_importance(models["rf", "7band"],
+                                         train_rows.x, train_rows.y)
             entry["rf_importance_7band"] = {
                 STACK_BANDS[j]: float(imp[j]) for j in range(7)
             }
-            entry["rf_top_feature"] = STACK_BANDS[int(order[0])]
+            entry["rf_top_feature"] = STACK_BANDS[int(
+                np.argsort(-imp, kind="stable")[0])]
         scenes.append(entry)
 
     report = {
@@ -142,25 +145,20 @@ def table2_experiment(
         "n_scenes": n_scenes,
         "n_per_class": n_per_class,
         "svm_per_class": svm_per_class,
-        "algorithms": list(algorithms),
+        "algorithms": algorithms,
         "class_names": names,
         "scenes": scenes,
-        "mean_overall_f1": {},
-        "gain_7band": {},
+        "mean_overall_f1": {
+            algo: {band_tag: _mean_over(scenes, "overall_f1", algo, band_tag)
+                   for band_tag in BAND_SETS}
+            for algo in algorithms},
     }
-    for algo in algorithms:
-        report["mean_overall_f1"][algo] = {}
-        for band_tag in BAND_SETS:
-            vals = [s["overall_f1"][algo][band_tag] for s in scenes]
-            report["mean_overall_f1"][algo][band_tag] = float(np.mean(vals))
-        report["gain_7band"][algo] = (
-            report["mean_overall_f1"][algo]["7band"]
-            - report["mean_overall_f1"][algo]["5band"]
-        )
-    if any("rf_top_feature" in s for s in scenes):
+    report["gain_7band"] = {
+        algo: means["7band"] - means["5band"]
+        for algo, means in report["mean_overall_f1"].items()}
+    if "rf" in algorithms:
         report["dem_ranked_first_count"] = sum(
-            1 for s in scenes if s.get("rf_top_feature") == "dem"
-        )
+            1 for s in scenes if s["rf_top_feature"] == "dem")
     return report
 
 
@@ -174,13 +172,13 @@ def render_table2(report: dict) -> str:
     for name in report["class_names"]:
         row = [name.ljust(20)]
         for algo in algos:
-            for band_tag in ("5band", "7band"):
-                vals = [s["f1"][algo][band_tag][name] for s in report["scenes"]]
-                row.append(f"{np.mean(vals):11.2f}")
+            for band_tag in BAND_SETS:
+                mean = _mean_over(report["scenes"], "f1", algo, band_tag, name)
+                row.append(f"{mean:11.2f}")
         lines.append("  ".join(row))
     row = ["Overall".ljust(20)]
     for algo in algos:
-        for band_tag in ("5band", "7band"):
+        for band_tag in BAND_SETS:
             row.append(f"{report['mean_overall_f1'][algo][band_tag]:11.2f}")
     lines.append("  ".join(row))
     return "\n".join(lines)
@@ -254,17 +252,17 @@ def robustness_experiment(
     """Train on scene A, evaluate on A and on its shifted twin B; report
     per-model overall accuracies and degradation.
 
-    Every model is scored at the same stratified evaluation pixels of A.
-    They are held out from RF's training rows only: the nets train on
-    A's train tiles and select epochs on its val tiles, which together
-    cover most of those pixels (1323 of 1500 and 1690 of 1701 on the two
-    pairs at seed 2026), so a net's oa_in is close to in-sample accuracy.
+    Every model is mapped through predict_map and scored at the same
+    stratified evaluation pixels of A. They are held out from RF's
+    training rows only: the nets train on A's train tiles and select
+    epochs on its val tiles, which together cover most of those pixels
+    (1323 of 1500 and 1690 of 1701 on the two pairs at seed 2026), so a
+    net's oa_in is close to in-sample accuracy.
     With keep_details, returns (report, details): per pair,
     {"probs_in": {model: scene A probability map}}.
     """
     scene_spec = robustness_scene_spec()
     legend = scene_spec.legend()
-    k = legend.n_classes
     pairs = scene_battery(seed, n_pairs, spec=scene_spec,
                           spectral_shift=DRIFT_SHIFT, noise_gain=1.3)
 
@@ -272,19 +270,13 @@ def robustness_experiment(
     details = []
     for i, pair in enumerate(pairs):
         stack_a, labels_a, _ = pair["train"]
-        stack_b, labels_b, _ = pair["test"]
-        table = stratified_sample(
-            stack_a, labels_a, legend, n_per_class=2 * RF_PER_CLASS,
-            seed=_derived_seed([seed, i, 300]),
-        )
-        train_idx, eval_idx = _split_train_eval(table.y, RF_PER_CLASS)
-        pos = table.positions[eval_idx]
-        y_eval = table.y[eval_idx]
-
-        trained = {"rf": rf_train(
-            table.x[train_idx], table.y[train_idx],
-            n_trees=n_trees, n_classes=k,
-            seed=_derived_seed([seed, i, 301]),
+        train_rows, eval_rows = _sample_split(
+            stack_a, labels_a, legend, RF_PER_CLASS,
+            _derived_seed([seed, i, 300]))
+        rows, cols = eval_rows.positions.T
+        trained = {"rf": fit(
+            "rf", train_rows.x, train_rows.y, n_trees=n_trees,
+            n_classes=legend.n_classes, seed=_derived_seed([seed, i, 301]),
         )}
         nets, plan = _train_scene_networks(
             stack_a, labels_a, legend,
@@ -292,48 +284,31 @@ def robustness_experiment(
         )
         trained.update(nets)
 
-        entry = {"pair": i, "oa_in": {}, "oa_shift": {}, "degradation": {}}
-
-        def eval_positions(pred_labels):
-            pred = pred_labels.labels[pos[:, 0], pos[:, 1]]
-            cm = confusion_from_arrays(y_eval, pred, k)
-            return overall_accuracy(cm)
-
-        for scene_tag, stack in (("in", stack_a), ("shift", stack_b)):
-            oa_tag = f"oa_{scene_tag}"
-            probs = {}
-            for name, model in trained.items():
-                label_map, probs[name] = predict_map(model, stack, plan)
-                entry[oa_tag][name] = eval_positions(label_map)
-            merged = ensemble_average([probs[a] for a in NET_ARCHS])
-            entry[oa_tag]["merged"] = eval_positions(argmax_labels(merged))
-            probs["merged"] = merged
+        entry = {"pair": i, "oa_in": {}, "oa_shift": {}}
+        for scene_tag, stack in (("in", stack_a), ("shift", pair["test"][0])):
+            probs = {name: predict_map(model, stack, plan)[1]
+                     for name, model in trained.items()}
+            probs["merged"] = ensemble_average([probs[a] for a in NET_ARCHS])
+            for name, prob in probs.items():  # ties to the lowest class id
+                entry[f"oa_{scene_tag}"][name] = _score(
+                    eval_rows.y, prob[:, rows, cols].argmax(axis=0),
+                    legend.names)[0]
             if scene_tag == "in" and keep_details:
                 details.append({"probs_in": probs})
-
-        for model in list(entry["oa_in"]):
-            entry["degradation"][model] = (
-                entry["oa_in"][model] - entry["oa_shift"][model]
-            )
+        entry["degradation"] = {
+            name: oa - entry["oa_shift"][name]
+            for name, oa in entry["oa_in"].items()}
         results.append(entry)
 
-    models = list(results[0]["oa_in"])
     report = {
         "protocol": "robustness",
         "seed": seed,
         "n_pairs": n_pairs,
         "spectral_shift": DRIFT_SHIFT,
         "pairs": results,
-        "mean_oa_in": {
-            m: float(np.mean([r["oa_in"][m] for r in results])) for m in models
-        },
-        "mean_oa_shift": {
-            m: float(np.mean([r["oa_shift"][m] for r in results])) for m in models
-        },
-        "mean_degradation": {
-            m: float(np.mean([r["degradation"][m] for r in results]))
-            for m in models
-        },
+        **{f"mean_{key}": {name: _mean_over(results, key, name)
+                           for name in results[0][key]}
+           for key in ("oa_in", "oa_shift", "degradation")},
     }
     if keep_details:
         return report, details

@@ -17,7 +17,7 @@ from .nn import load_network, predict_tiles
 from .nn.networks import WEIGHTS_FORMAT
 from .pool import ordered_map
 from .raster import NODATA_ID, Raster
-from .tiling import TilePlan, stitch_center
+from .tiling import TilePlan, finite_at_nodata, stitch_center
 
 FORMAT = "landseg-model"
 VERSION = 1
@@ -104,9 +104,10 @@ def predict_pixels(model, r: Raster) -> np.ndarray:
 
     They are vote fractions / leaf histograms, not calibrated. Chunks of
     PIXEL_CHUNK pixels are converted to float64 and classified on the
-    map's thread pool, each into its own columns.
+    map's thread pool, each into its own columns. A non-finite value at
+    a nodata pixel is classified as 0, as a network sees it.
     """
-    x = r.data.reshape(r.n_bands, -1)
+    x = finite_at_nodata(r).reshape(r.n_bands, -1)
     probs = np.empty((model.n_classes, x.shape[1]))
 
     def classify(at):

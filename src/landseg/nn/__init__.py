@@ -1,55 +1,5 @@
 """Minimal reverse-mode tensor ops and the three miniature segmentation nets."""
 
-from .ops import (
-    avgpool_to_backward,
-    avgpool_to_forward,
-    concat_backward,
-    concat_forward,
-    conv2d_backward,
-    conv2d_forward,
-    max_unpool,
-    max_unpool_backward,
-    maxpool_backward,
-    maxpool_forward,
-    relu_backward,
-    relu_forward,
-    softmax_probs,
-    upsample2x_backward,
-    upsample2x_forward,
-    upsample_to_backward,
-    upsample_to_forward,
-    weighted_ce_loss,
-)
 from .optim import Adam, SgdMomentum, adam_step, sgd_momentum_step
-from .networks import (
-    Conv2d,
-    PspMini,
-    PyramidPool,
-    SegNetMini,
-    UNetMini,
-    build_network,
-    load_network,
-    save_network,
-)
+from .networks import build_network, load_network, save_network
 from .train import TrainConfig, default_config, predict_tiles, save_history_csv, train
-
-__all__ = [
-    "Adam",
-    "Conv2d",
-    "PspMini",
-    "PyramidPool",
-    "SegNetMini",
-    "SgdMomentum",
-    "TrainConfig",
-    "UNetMini",
-    "adam_step",
-    "build_network",
-    "default_config",
-    "load_network",
-    "predict_tiles",
-    "save_history_csv",
-    "save_network",
-    "sgd_momentum_step",
-    "train",
-    "weighted_ce_loss",
-]

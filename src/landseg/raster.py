@@ -294,5 +294,7 @@ def read_labels(path_stem, legend: ClassLegend | None = None) -> LabelRaster:
     if legend is not None:
         bad = labels[(labels != NODATA_ID) & (labels >= legend.n_classes)]
         if bad.size:
-            raise ValueError(f"illegal class id {int(bad[0])} in label body")
+            raise ValueError(f"{path_stem}.bin: illegal class id "
+                             f"{int(bad[0])}, not in the legend's "
+                             f"{legend.n_classes} classes")
     return LabelRaster(width, height, labels)

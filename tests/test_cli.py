@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from landseg import (
-    GroundPointSet, Raster, read_labels, read_raster, write_raster,
+    GroundPointSet, Raster, default_legend, read_labels, read_raster,
+    write_raster,
 )
-from landseg import models, pool
+from landseg import experiment, models, pool
 from landseg.classical import DecisionTree, cart_train, rf_train, svm_train
 from landseg.cli import main
 from landseg.experiment import TABLE2_SCENE_SIZE, table2_experiment
@@ -473,6 +474,26 @@ def test_nan_at_nodata_pixel_reaches_no_net(scene_dir, tmp_path, capsys):
         assert np.isfinite(probs.data[:, stack.valid_mask]).all()
 
 
+def test_nan_at_nodata_pixel_maps_to_a_distribution(scene_dir, tmp_path):
+    stack = read_raster(scene_dir / "stack")
+    stack.data[:, 70, 5] = np.nan
+    stack.valid_mask[70, 5] = False
+    write_raster(stack, tmp_path / "stack")
+    for algo in ("cart", "rf", "svm"):
+        assert main(["train-pixel", "--algo", algo,
+                     "--stack", str(scene_dir / "stack"),
+                     "--labels", str(scene_dir / "labels"),
+                     "--samples", "30", "--out", str(tmp_path / algo)]) == 0
+        assert main(["predict", "--model", str(tmp_path / algo),
+                     "--stack", str(tmp_path / "stack"),
+                     "--out", str(tmp_path / algo)]) == 0
+        probs = read_raster(tmp_path / f"{algo}_probs").data
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-6)
+    maps = [str(tmp_path / f"{algo}_probs") for algo in ("cart", "rf", "svm")]
+    assert main(["ensemble", "--probs", *maps,
+                 "--out", str(tmp_path / "merged")]) == 0
+
+
 def _non_finite_input(scene_dir, tmp_path, stage, value):
     """argv of `stage` reading one raster that holds `value` at a valid
     pixel, with every output under tmp_path / "out"; and that pixel."""
@@ -537,6 +558,45 @@ def test_experiment_rejects_bad_counts(tmp_path, capsys, option, value, param):
     err = capsys.readouterr().err
     assert f"{option}: '{param}' must be an integer of at least 1" in err
     assert not (tmp_path / "t2.json").exists()
+
+
+@pytest.mark.parametrize("algos", ["cart,xyz", "rf,rf"])
+def test_experiment_checks_algos_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, algos):
+    scenes = []
+    monkeypatch.setattr(experiment, "generate_scene", scenes.append)
+    rc = main(["experiment", "table2", "--seed", "1", "--algos", algos,
+               "--scene-size", "64", "--out", str(tmp_path / "t2.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("--algos: 'algorithms' must be distinct names out of "
+            "cart, rf, svm") in err, err
+    assert scenes == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["train-pixel", "train-net"])
+def test_training_stage_rejects_labels_outside_the_legend(
+        scene_dir, documents, tmp_path, capsys, stage):
+    default_legend(3).save(tmp_path / "legend3.json")
+    common = ["--stack", str(scene_dir / "stack"),
+              "--labels", str(scene_dir / "labels"),
+              "--legend", str(tmp_path / "legend3.json")]
+    out = tmp_path / "out"
+    out.mkdir()
+    if stage == "train-pixel":
+        argv = ["train-pixel", "--algo", "cart", *common, "--samples", "20",
+                "--out", str(out / "cart.json")]
+    else:
+        (tmp_path / "cfg.json").write_text('{"epochs": 1, "width": 4}')
+        argv = ["train-net", "--arch", "psp_mini", *common,
+                "--plan", str(documents / "plan.json"),
+                "--config", str(tmp_path / "cfg.json"),
+                "--out", str(out / "net")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{scene_dir / 'labels'}.bin: illegal class id 3" in err, err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,9 @@ function, class and method is named somewhere: in a landseg module, in
 the benchmark or in the acceptance tests.
 
 The package __init__ modules are skipped: their imports are re-exports.
+Each name that `landseg.nn` or `landseg.classical` re-exports must be
+imported from that package somewhere in the sources, the tests, the
+demos or the benchmark.
 """
 
 import ast
@@ -19,6 +22,10 @@ ROOT = SRC.parents[1]
 # where a public name must be used: other tests do not keep it alive
 CALLERS = MODULES + sorted((ROOT / "bench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
+# where a package's re-exports must be imported from it
+IMPORTERS = sorted(SRC.rglob("*.py")) + [
+    p for d in ("tests", "demos", "bench")
+    for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:
@@ -124,3 +131,53 @@ def test_public_name_detector():
     used = names_used(source)
     assert {"A", "kept", "named_in_string"} <= used
     assert not {"dropped", "helper", "only"} & used
+
+
+def imported_from(source: str, package: str) -> set:
+    """(module, name) for each `from module import name` in a module of
+    the given package, with relative imports resolved against it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{module}" if module else base
+            out |= {(module, alias.name) for alias in node.names}
+    return out
+
+
+def re_exports(source: str) -> list:
+    """The names an __init__ module imports from its own submodules."""
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names]
+
+
+def _package_of(path: Path) -> str:
+    if SRC not in path.parents:
+        return ""
+    return ".".join(("landseg",) + path.parent.relative_to(SRC).parts)
+
+
+@pytest.mark.parametrize("package", ["landseg.nn", "landseg.classical"])
+def test_every_re_export_is_imported(package):
+    init = SRC.joinpath(*package.split(".")[1:], "__init__.py")
+    imported = set().union(*(imported_from(p.read_text(), _package_of(p))
+                             for p in IMPORTERS if p != init))
+    unused = [name for name in re_exports(init.read_text())
+              if (package, name) not in imported]
+    assert unused == []
+
+
+def test_import_resolver():
+    source = (
+        "from .ops import conv\n"
+        "from ..nn import train\n"
+        "from . import ops\n"
+        "from landseg.nn import build\n"
+    )
+    assert imported_from(source, "landseg.nn") == {
+        ("landseg.nn.ops", "conv"), ("landseg.nn", "train"),
+        ("landseg.nn", "ops"), ("landseg.nn", "build")}
+    assert re_exports(source) == ["conv", "train", "ops"]

@@ -25,7 +25,6 @@ from .raster import (
     write_raster,
 )
 from .preprocess import (
-    HistogramMap,
     apply_cloud_mask,
     histogram_match,
     normalize_to_reference,
@@ -34,23 +33,17 @@ from .preprocess import (
     stack_bands,
 )
 from .tiling import (
-    SampleSet,
-    Tile,
-    TilePlan,
     extract_tiles,
     plan_tiles,
     split_samples,
     stitch_center,
 )
 from .sampling import (
-    ClassWeights,
-    FeatureTable,
     augment,
     class_weights,
     stratified_sample,
 )
 from .classical import (
-    DecisionTree,
     RandomForest,
     SvmClassifier,
     cart_train,
@@ -61,7 +54,6 @@ from .classical import (
 )
 from .evaluate import (
     ConfusionMatrix,
-    MetricsReport,
     accumulate,
     argmax_labels,
     class_metrics,

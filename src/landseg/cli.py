@@ -21,15 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluate import confusion_from, render_table, report as build_report
-from .experiment import (
-    TABLE2_SCENE_SIZE, dump_report, render_table2, table2_experiment,
+from .evaluate import (
+    argmax_labels, confusion_from, dump_report, ensemble_average,
+    render_table, report as build_report,
 )
+from .experiment import TABLE2_SCENE_SIZE, render_table2, table2_experiment
 from .jsondoc import ParamError, check_params, read_json, read_object
 from .models import load_model, predict_map, save_model
 from .nn import (
     TrainConfig,
     build_network,
+    check_patch,
     default_config,
     save_history_csv,
     save_network,
@@ -40,6 +42,7 @@ from .raster import (
     ClassLegend,
     GroundPointSet,
     LabelRaster,
+    NODATA_ID,
     Raster,
     default_legend,
     read_labels,
@@ -51,7 +54,6 @@ from .sampling import class_weights, stratified_sample
 from .classical import TRAINERS, fit, trainer
 from .synth import SceneSpec, generate_scene
 from .tiling import TileSplit, extract_tiles, plan_tiles, split_samples
-from .evaluate import argmax_labels, ensemble_average
 
 
 def _append_manifest(near_path, stage, inputs, outputs, seed):
@@ -73,10 +75,18 @@ def _load_legend(path) -> ClassLegend:
     return default_legend(6) if path is None else ClassLegend.load(path)
 
 
-def _prob_raster(probs: np.ndarray, mask: np.ndarray) -> Raster:
+def _write_map(what: str, out, labels: LabelRaster, probs: np.ndarray):
+    """Write <out>_labels, the argmax_labels of the float64 (K, H, W) map
+    probs, and <out>_probs, probs as float32, valid wherever labels is not
+    nodata. Prints and returns both stems."""
     k, h, w = probs.shape
-    names = [f"prob_{i}" for i in range(k)]
-    return Raster(w, h, names, probs.astype(np.float32), mask)
+    stems = [f"{out}_labels", f"{out}_probs"]
+    write_labels(labels, stems[0])
+    write_raster(Raster(w, h, [f"prob_{i}" for i in range(k)],
+                        probs.astype(np.float32),
+                        labels.labels != NODATA_ID), stems[1])
+    print(f"{what} -> {stems[0]} / {stems[1]}")
+    return stems
 
 
 # ------------------------------------------------------------------ stages
@@ -121,6 +131,7 @@ def cmd_preprocess(args):
 
 
 def cmd_tile(args):
+    check_patch(args.patch, "--patch")  # a plan that every net can take
     stack = read_raster(args.stack)
     labels = read_labels(args.labels)
     plan = plan_tiles(stack.width, stack.height,
@@ -205,12 +216,8 @@ def cmd_predict(args):
     stack = read_raster(args.stack)
     model = load_model(args.model, n_bands=stack.n_bands)
     plan = None if args.plan is None else TileSplit.load(args.plan).plan
-    label_map, probs = predict_map(model, stack, plan)
-    write_labels(label_map, str(args.out) + "_labels")
-    write_raster(_prob_raster(probs, stack.valid_mask),
-                 str(args.out) + "_probs")
-    print(f"prediction -> {args.out}_labels / {args.out}_probs")
-    return [str(args.out) + "_labels", str(args.out) + "_probs"], None
+    return _write_map("prediction", args.out,
+                      *predict_map(model, stack, plan)), None
 
 
 def cmd_ensemble(args):
@@ -231,13 +238,8 @@ def cmd_ensemble(args):
             yield r.data.astype(np.float64)
 
     merged = ensemble_average(maps())
-    labels = argmax_labels(merged)
-    labels.labels[~mask] = 255
-    write_raster(_prob_raster(merged, mask), str(args.out) + "_probs")
-    write_labels(labels, str(args.out) + "_labels")
-    print(f"ensemble of {len(args.probs)} -> {args.out}_labels / "
-          f"{args.out}_probs")
-    return [str(args.out) + "_labels", str(args.out) + "_probs"], None
+    return _write_map(f"ensemble of {len(args.probs)}", args.out,
+                      argmax_labels(merged, mask), merged), None
 
 
 def cmd_evaluate(args):
@@ -252,7 +254,7 @@ def cmd_evaluate(args):
     rep = build_report(cm, legend, provenance={
         "model": str(args.pred), "dataset": str(args.truth),
     })
-    rep.save(args.out)
+    Path(args.out).write_text(dump_report(rep.to_json()))
     cm.save_csv(str(args.out) + ".cm.csv", legend)
     print(render_table(rep))
     return [args.out, str(args.out) + ".cm.csv"], None

@@ -23,10 +23,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
 
-    @classmethod
-    def empty(cls, n_classes: int) -> "ConfusionMatrix":
-        return cls(counts=np.zeros((n_classes, n_classes), dtype=np.int64))
-
     @property
     def n_classes(self) -> int:
         return self.counts.shape[0]
@@ -35,61 +31,55 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def save_csv(self, path, legend: ClassLegend | None = None):
-        names = (
-            legend.names if legend is not None
-            else [f"class_{i}" for i in range(self.n_classes)]
-        )
-        lines = ["reference\\predicted," + ",".join(names)]
-        for i, name in enumerate(names):
+    def save_csv(self, path, legend: ClassLegend):
+        lines = ["reference\\predicted," + ",".join(legend.names)]
+        for i, name in enumerate(legend.names):
             lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[i]))
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _count(ref: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    """K x K counts of aligned id arrays; nodata pairs skipped, ids checked."""
-    keep = (ref != NODATA_ID) & (pred != NODATA_ID)
-    ref, pred = ref[keep], pred[keep]
-    if ref.size and (min(ref.min(), pred.min()) < 0
-                     or max(ref.max(), pred.max()) >= k):
-        raise ValueError("class id outside the confusion matrix")
-    return np.bincount(ref * k + pred, minlength=k * k).reshape(k, k)
-
-
 def accumulate(cm: ConfusionMatrix, reference, predicted: LabelRaster) -> ConfusionMatrix:
+    """cm plus the counts of confusion_from(reference, predicted)."""
+    return ConfusionMatrix(
+        counts=cm.counts + confusion_from(reference, predicted,
+                                          cm.n_classes).counts)
+
+
+def confusion_from(reference, predicted: LabelRaster, n_classes: int) -> ConfusionMatrix:
     """Count (reference, predicted) pairs; nodata on either side is skipped.
 
     reference may be a LabelRaster of matching geometry or a GroundPointSet.
     """
     if isinstance(reference, GroundPointSet):
-        ref = np.asarray([p[2] for p in reference.points], dtype=np.int64)
-        rows = np.asarray([p[0] for p in reference.points], dtype=np.int64)
-        cols = np.asarray([p[1] for p in reference.points], dtype=np.int64)
+        rows, cols, ref = np.asarray(reference.points,
+                                     dtype=np.int64).reshape(-1, 3).T
         if ref.size and (
             rows.min() < 0 or rows.max() >= predicted.height
             or cols.min() < 0 or cols.max() >= predicted.width
         ):
             raise ValueError("ground point outside prediction raster")
-        pred = predicted.labels[rows, cols].astype(np.int64)
+        pred = predicted.labels[rows, cols]
     else:
         if (reference.width, reference.height) != (predicted.width, predicted.height):
             raise ValueError("reference/prediction geometry mismatch")
-        ref = reference.labels.reshape(-1).astype(np.int64)
-        pred = predicted.labels.reshape(-1).astype(np.int64)
-    return ConfusionMatrix(counts=cm.counts + _count(ref, pred, cm.n_classes))
-
-
-def confusion_from(reference, predicted: LabelRaster, n_classes: int) -> ConfusionMatrix:
-    return accumulate(ConfusionMatrix.empty(n_classes), reference, predicted)
+        ref, pred = reference.labels, predicted.labels
+    return confusion_from_arrays(ref, pred, n_classes)
 
 
 def confusion_from_arrays(ref: np.ndarray, pred: np.ndarray, n_classes: int) -> ConfusionMatrix:
-    """Confusion matrix of two aligned class-id arrays (255 skipped)."""
+    """Confusion matrix of two aligned class-id arrays; a pair with
+    nodata on either side is skipped, and any other id must be a class."""
     ref = np.asarray(ref, dtype=np.int64).reshape(-1)
     pred = np.asarray(pred, dtype=np.int64).reshape(-1)
     if ref.shape != pred.shape:
         raise ValueError("reference/prediction lengths differ")
-    return ConfusionMatrix(counts=_count(ref, pred, n_classes))
+    keep = (ref != NODATA_ID) & (pred != NODATA_ID)
+    ref, pred, k = ref[keep], pred[keep], n_classes
+    if ref.size and (min(ref.min(), pred.min()) < 0
+                     or max(ref.max(), pred.max()) >= k):
+        raise ValueError("class id outside the confusion matrix")
+    return ConfusionMatrix(
+        counts=np.bincount(ref * k + pred, minlength=k * k).reshape(k, k))
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:
@@ -152,11 +142,6 @@ class MetricsReport:
             "provenance": self.provenance,
         }
 
-    def save(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
-
 
 def report(cm: ConfusionMatrix, legend: ClassLegend, provenance: dict | None = None) -> MetricsReport:
     k = legend.n_classes
@@ -176,6 +161,12 @@ def report(cm: ConfusionMatrix, legend: ClassLegend, provenance: dict | None = N
         oa=overall_accuracy(cm), total=cm.total,
         provenance=provenance or {},
     )
+
+
+def dump_report(report: dict) -> str:
+    """Canonical JSON text of a report; byte-identical for identical
+    inputs."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def render_table(rep: MetricsReport) -> str:
@@ -223,7 +214,10 @@ def ensemble_average(prob_maps) -> np.ndarray:
     return mean
 
 
-def argmax_labels(probs: np.ndarray) -> LabelRaster:
-    """Hard label map from a (K, H, W) probability grid; ties to lowest id."""
+def argmax_labels(probs: np.ndarray, valid: np.ndarray | None = None) -> LabelRaster:
+    """Hard label map from a (K, H, W) probability grid; ties to lowest id,
+    and NODATA_ID wherever the (H, W) mask valid is False."""
     labels = np.argmax(np.asarray(probs), axis=0).astype(np.uint8)
+    if valid is not None:
+        labels[~valid] = NODATA_ID
     return LabelRaster(labels.shape[1], labels.shape[0], labels)

@@ -11,14 +11,13 @@ scenes or pairs with _mean_over.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
 
 from .classical import TRAINERS, fit, permutation_importance
 from .evaluate import (
-    class_metrics, confusion_from_arrays, ensemble_average, overall_accuracy,
+    confusion_from_arrays, ensemble_average, report as build_report,
 )
 from .jsondoc import ParamError, check_params
 from .models import predict_map
@@ -55,13 +54,13 @@ def _sample_split(stack, labels, legend, n_train, seed):
             for rows in _first_per_class(table.y, n_train)]
 
 
-def _score(y_true, y_pred, names):
+def _score(y_true, y_pred, legend):
     """Overall accuracy, F1 by class name, and the mean F1 over the
     classes that y_true holds (0 if none)."""
-    cm = confusion_from_arrays(y_true, y_pred, len(names))
-    f1 = {name: class_metrics(cm, c)[2] for c, name in enumerate(names)}
-    present = [f1[name] for c, name in enumerate(names) if cm.counts[c].sum()]
-    return (overall_accuracy(cm), f1,
+    rep = build_report(
+        confusion_from_arrays(y_true, y_pred, legend.n_classes), legend)
+    present = [f1 for f1, count in zip(rep.f1, rep.counts) if count]
+    return (rep.oa, dict(zip(rep.class_names, rep.f1)),
             float(np.mean(present)) if present else 0.0)
 
 
@@ -101,7 +100,6 @@ def table2_experiment(
     if scene_spec is None:
         scene_spec = SceneSpec(width=TABLE2_SCENE_SIZE, height=TABLE2_SCENE_SIZE)
     legend = scene_spec.legend()
-    names = legend.names
     # training rows per class; the SVM's fit grows with their square
     per_class = {"svm": svm_per_class}
 
@@ -125,7 +123,7 @@ def table2_experiment(
                     n_classes=legend.n_classes, n_trees=n_trees,
                     seed=_derived_seed([seed, i, 200]))
                 _, f1, overall = _score(
-                    eval_rows.y, model.predict(eval_rows.x[:, cols]), names)
+                    eval_rows.y, model.predict(eval_rows.x[:, cols]), legend)
                 entry["f1"][algo][band_tag] = f1
                 entry["overall_f1"][algo][band_tag] = overall
 
@@ -146,7 +144,7 @@ def table2_experiment(
         "n_per_class": n_per_class,
         "svm_per_class": svm_per_class,
         "algorithms": algorithms,
-        "class_names": names,
+        "class_names": legend.names,
         "scenes": scenes,
         "mean_overall_f1": {
             algo: {band_tag: _mean_over(scenes, "overall_f1", algo, band_tag)
@@ -182,11 +180,6 @@ def render_table2(report: dict) -> str:
             row.append(f"{report['mean_overall_f1'][algo][band_tag]:11.2f}")
     lines.append("  ".join(row))
     return "\n".join(lines)
-
-
-def dump_report(report: dict) -> str:
-    """Canonical JSON text; byte-identical for identical inputs."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 NET_ARCHS = ("segnet_mini", "unet_mini", "psp_mini")
@@ -292,7 +285,7 @@ def robustness_experiment(
             for name, prob in probs.items():  # ties to the lowest class id
                 entry[f"oa_{scene_tag}"][name] = _score(
                     eval_rows.y, prob[:, rows, cols].argmax(axis=0),
-                    legend.names)[0]
+                    legend)[0]
             if scene_tag == "in" and keep_details:
                 details.append({"probs_in": probs})
         entry["degradation"] = {

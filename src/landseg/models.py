@@ -16,7 +16,7 @@ from .jsondoc import (
 from .nn import load_network, predict_tiles
 from .nn.networks import WEIGHTS_FORMAT
 from .pool import ordered_map
-from .raster import NODATA_ID, Raster
+from .raster import Raster
 from .tiling import TilePlan, finite_at_nodata, stitch_center
 
 FORMAT = "landseg-model"
@@ -132,6 +132,4 @@ def predict_map(model, r: Raster, plan: TilePlan | None = None):
         raise ValueError("network prediction needs a tile plan (--plan)")
     else:
         _, probs = stitch_center(predict_tiles(model, r, plan), plan)
-    label_map = argmax_labels(probs)
-    label_map.labels[~r.valid_mask] = NODATA_ID
-    return label_map, probs
+    return argmax_labels(probs, r.valid_mask), probs

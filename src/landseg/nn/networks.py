@@ -138,14 +138,20 @@ class PyramidPool(_ConvParams):
         return dx
 
 
+def check_patch(patch: int, name: str = "patch"):
+    """Raise ValueError unless a net can take patch: its two 2x poolings
+    need it divisible by 4."""
+    if patch % 4:
+        raise ValueError(f"{name} must be divisible by 4, got {patch}")
+
+
 class _MiniNet(_ConvParams):
     """Shared plumbing: band normalization and softmax."""
 
     arch = ""
 
     def __init__(self, in_ch: int, n_classes: int, width: int, patch: int):
-        if patch % 4:
-            raise ValueError("patch must be divisible by 4")
+        check_patch(patch)
         self.in_ch = in_ch
         self.n_classes = n_classes
         self.width = width

@@ -17,26 +17,14 @@ from .jsondoc import JsonDoc, at_least, check_object, doc_field, list_of
 from .raster import LabelRaster, NODATA_ID, Raster
 
 
-def _reflect_pad_axis(arr: np.ndarray, extra: int, axis: int) -> np.ndarray:
-    """np.pad reflect caps at dim-1 per call; iterate for large paddings."""
-    while extra > 0:
-        if arr.shape[axis] == 1:
-            width = [(0, 0)] * arr.ndim
-            width[axis] = (0, extra)
-            return np.pad(arr, width, mode="edge")
-        step = min(extra, arr.shape[axis] - 1)
-        width = [(0, 0)] * arr.ndim
-        width[axis] = (0, step)
-        arr = np.pad(arr, width, mode="reflect")
-        extra -= step
-    return arr
-
-
 def reflect_pad_to(arr: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Reflect-pad the trailing two axes up to (target_h, target_w)."""
-    arr = _reflect_pad_axis(arr, max(0, target_h - arr.shape[-2]), arr.ndim - 2)
-    arr = _reflect_pad_axis(arr, max(0, target_w - arr.shape[-1]), arr.ndim - 1)
-    return arr
+    """Reflect-pad the trailing two axes up to (target_h, target_w); arr
+    itself when both are already as large. A length-1 axis repeats."""
+    extra = (max(0, target_h - arr.shape[-2]), max(0, target_w - arr.shape[-1]))
+    if extra == (0, 0):
+        return arr
+    return np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(0, e) for e in extra],
+                  mode="reflect")
 
 
 def _axis_anchors(dim: int, patch: int, stride: int) -> list:
@@ -54,7 +42,7 @@ class TilePlan(JsonDoc):
     smaller than the patch are reflect-padded up to it at extraction time;
     the plan records the true image dims."""
 
-    patch: int
+    patch: int = doc_field(check=at_least(1))
     stride: int = doc_field(check=at_least(1))
     width: int
     height: int

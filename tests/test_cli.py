@@ -12,7 +12,7 @@ from landseg import (
     GroundPointSet, Raster, default_legend, read_labels, read_raster,
     write_raster,
 )
-from landseg import experiment, models, pool
+from landseg import cli, experiment, models, pool
 from landseg.classical import DecisionTree, cart_train, rf_train, svm_train
 from landseg.cli import main
 from landseg.experiment import TABLE2_SCENE_SIZE, table2_experiment
@@ -575,6 +575,26 @@ def test_experiment_checks_algos_before_any_work(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("patch, message", [
+    ("0", "'patch' must be an integer of at least 1, got 0"),
+    ("-4", "'patch' must be an integer of at least 1, got -4"),
+    ("6", "--patch must be divisible by 4, got 6"),
+    ("30", "--patch must be divisible by 4, got 30"),
+])
+def test_tile_rejects_a_patch_no_net_takes(scene_dir, tmp_path, capsys,
+                                           monkeypatch, patch, message):
+    cut = []
+    monkeypatch.setattr(cli, "extract_tiles", lambda *a: cut.append(a))
+    rc = main(["tile", "--stack", str(scene_dir / "stack"),
+               "--labels", str(scene_dir / "labels"), "--patch", patch,
+               "--out", str(tmp_path / "plan.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err, err
+    assert cut == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("stage", ["train-pixel", "train-net"])
 def test_training_stage_rejects_labels_outside_the_legend(
         scene_dir, documents, tmp_path, capsys, stage):
@@ -919,6 +939,86 @@ def test_rf_prediction_is_pinned(scene_dir, tmp_path):
         "rf_labels.bin":
             "cdf29f4c3aada3b7b2605918563f1a1471088300bed70a69cde63c814dab1945",
     }
+
+
+@pytest.fixture(scope="module")
+def ensemble_dir(scene_dir, tmp_path_factory):
+    """Two CART maps of the cloud-masked scene (sample seeds 1 and 2) and
+    their ensemble, written as <dir>/ens; labels and legend copied beside
+    them."""
+    out = tmp_path_factory.mktemp("ensemble")
+    for stem in ("labels.json", "labels.bin", "legend.json"):
+        (out / stem).write_bytes((scene_dir / stem).read_bytes())
+    assert main(["preprocess", "--in", str(scene_dir / "spectral"),
+                 "--reference", str(scene_dir / "spectral"),
+                 "--dem", str(scene_dir / "dem"),
+                 "--cloud", str(scene_dir / "cloud"),
+                 "--out", str(out / "stack")]) == 0
+    assert not read_raster(out / "stack").valid_mask.all()
+    for seed in ("1", "2"):
+        assert main(["train-pixel", "--algo", "cart",
+                     "--stack", str(out / "stack"),
+                     "--labels", str(out / "labels"),
+                     "--legend", str(out / "legend.json"),
+                     "--samples", "100", "--seed", seed,
+                     "--out", str(out / f"cart{seed}.json")]) == 0
+        assert main(["predict", "--model", str(out / f"cart{seed}.json"),
+                     "--stack", str(out / "stack"),
+                     "--out", str(out / f"cart{seed}")]) == 0
+    assert main(["ensemble", "--probs", str(out / "cart1_probs"),
+                 str(out / "cart2_probs"), "--out", str(out / "ens")]) == 0
+    return out
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_masked_predict_and_ensemble_are_pinned(ensemble_dir):
+    assert (read_labels(ensemble_dir / "ens_labels").labels == 255).any()
+    assert _digests(ensemble_dir, (
+        "cart1_labels.bin", "cart1_probs.bin", "ens_labels.bin",
+        "ens_labels.json", "ens_probs.bin", "ens_probs.json")) == {
+        "cart1_labels.bin":
+            "a4fa2e162a2b0daf594cc23ad47e505f94856ec526cb03f6bc502091f625b828",
+        "cart1_probs.bin":
+            "cbd5ca0986c2a05f6871f7b0764f5ac02d5a36200ff2434bcf8fb94d9fc0afa5",
+        "ens_labels.bin":
+            "33cd7475d1467387fac4d1fe63ae8f90bb17d6c727cccddd12fc744926f59d5d",
+        "ens_labels.json":
+            "867214858914bfbca4e8f4a2282c3b6142461ff6a100d32f425e992a19ad3a6a",
+        "ens_probs.bin":
+            "b0b7ef509251293901b4b3223374ef70f0dbc506430311d7d94ff7b5fdd2ae94",
+        "ens_probs.json":
+            "6e47fc0e2c30095ebd7cbe27ec044ccf72a5bd98b5e23b3f46ee9d2cf75cafc2",
+    }
+
+
+@pytest.mark.parametrize("truth", ["labels", "points.csv"])
+def test_evaluate_outputs_are_pinned(ensemble_dir, monkeypatch, truth):
+    # relative paths, so that the report's provenance names no temp dir
+    monkeypatch.chdir(ensemble_dir)
+    if truth == "points.csv":
+        labels = read_labels("labels").labels
+        GroundPointSet(points=[(r, c, int(labels[r, c]))
+                               for r in range(3, 128, 9)
+                               for c in range(5, 128, 11)
+                               if labels[r, c] != 255]).save(truth)
+    assert main(["evaluate", "--pred", "ens_labels", "--truth", truth,
+                 "--legend", "legend.json", "--out", "report.json"]) == 0
+    assert _digests(ensemble_dir, ("report.json", "report.json.cm.csv")) == {
+        "labels": {
+            "report.json": "305888966048731fc21728ee0c774b5c"
+                           "f4a83d4817f51f34f40513419e228b19",
+            "report.json.cm.csv": "c639cd0f5280802a21d30c000c50895c"
+                                  "f0422f002832229a9a8dc04dfb5a79ec"},
+        "points.csv": {
+            "report.json": "fb29d81bd68d75bc1688253c6bbd4c91"
+                           "4bd8e3546584ebfccca65774a2504392",
+            "report.json.cm.csv": "2b2053bfcec66e05b3477cc034b5563d"
+                                  "d1ee3ab7ac70b9716e7d4b3ceea229ef"},
+    }[truth]
 
 
 def test_experiment_determinism(tmp_path):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from landseg.classical import fit
+from landseg.evaluate import dump_report
 from landseg.experiment import (
-    BAND_SETS, _sample_split, dump_report, robustness_experiment,
-    table2_experiment,
+    BAND_SETS, _sample_split, robustness_experiment, table2_experiment,
 )
 from landseg.models import predict_map
 from landseg.preprocess import apply_cloud_mask

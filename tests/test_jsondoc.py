@@ -290,7 +290,7 @@ def test_declared_rules_are_pinned():
             "SceneSpec": ["n_classes"],
             "SvmClassifier": ["pairs", "mean", "std", "n_classes", "C",
                               "gamma", "tol"],
-            "TilePlan": ["stride"],
+            "TilePlan": ["patch", "stride"],
             "TrainConfig": ["optimizer", "lr", "momentum", "epochs",
                             "batch_size", "seed", "class_weights"],
             "WeightsManifest": ["format", "arch", "in_ch", "n_classes",

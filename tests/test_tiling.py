@@ -319,3 +319,32 @@ def test_reflect_pad_small_image():
     out = reflect_pad_to(arr, 9, 9)
     assert out.shape == (9, 9)
     assert np.array_equal(out[:3, :4], arr)
+
+
+def _reflect_index(n, size):
+    """Source indices of a length-n axis reflect-padded to size: the
+    sequence bounces off both ends without repeating the edge; a length-1
+    axis repeats its one element."""
+    if n == 1:
+        return np.zeros(size, dtype=np.int64)
+    i = np.arange(size) % (2 * (n - 1))
+    return np.where(i < n, i, 2 * (n - 1) - i)
+
+
+@given(h=st.integers(1, 12), w=st.integers(1, 12),
+       grow_h=st.integers(0, 4), grow_w=st.integers(0, 4),
+       lead=st.sampled_from([(), (2,)]),
+       dtype=st.sampled_from([np.float32, np.bool_, np.uint8]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None)
+def test_reflect_pad_matches_index_reference(h, w, grow_h, grow_w, lead,
+                                             dtype, seed):
+    arr = np.random.default_rng(seed).integers(
+        0, 200, size=lead + (h, w)).astype(dtype)
+    th, tw = h + grow_h * h, w + grow_w * w  # up to 5x each axis
+    out = reflect_pad_to(arr, th, tw)
+    ref = arr[..., _reflect_index(h, th)[:, None], _reflect_index(w, tw)]
+    assert out.dtype == arr.dtype
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    # a target at or below the array's own size pads nothing
+    assert reflect_pad_to(arr, h - grow_h, w) is arr

@@ -3,9 +3,9 @@ function, class and method is named somewhere: in a landseg module, in
 the benchmark or in the acceptance tests.
 
 The package __init__ modules are skipped: their imports are re-exports.
-Each name that `landseg.nn` or `landseg.classical` re-exports must be
-imported from that package somewhere in the sources, the tests, the
-demos or the benchmark.
+Each name that `landseg`, `landseg.nn` or `landseg.classical` re-exports
+must be imported from that package somewhere in the sources, the tests,
+the demos or the benchmark.
 """
 
 import ast
@@ -160,7 +160,8 @@ def _package_of(path: Path) -> str:
     return ".".join(("landseg",) + path.parent.relative_to(SRC).parts)
 
 
-@pytest.mark.parametrize("package", ["landseg.nn", "landseg.classical"])
+@pytest.mark.parametrize("package",
+                         ["landseg", "landseg.nn", "landseg.classical"])
 def test_every_re_export_is_imported(package):
     init = SRC.joinpath(*package.split(".")[1:], "__init__.py")
     imported = set().union(*(imported_from(p.read_text(), _package_of(p))
